@@ -8,15 +8,11 @@ also accepts arbitrary small-degree polynomial p, q via PolySeries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .digits import DigitBlock, int_to_digits
-from .errors import CarryAmbiguity, PrecisionExhausted
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover
-    mpz = int
+from .digits import _SERIES_ERR, DigitBlock, _certify, _split, int_to_digits, mpz
+from .errors import CarryAmbiguity
 
 
 @dataclass(frozen=True)
@@ -81,17 +77,19 @@ def _signed_floor(num, den):
     return num // den
 
 
-def _term_values(formula, k: int):
-    """(numerator, denominator) pairs of the k-th term."""
+def _term(formula, k):
+    """(a, b) with b > 0 and a/b = p(k)/q(k), the k-th term without base**-k."""
     if isinstance(formula, BBPFormula):
-        return [(c, formula.modulus * k + j) for c, j in formula.terms]
+        dens = [formula.modulus * k + j for _, j in formula.terms]
+        b = math.prod(dens)
+        return sum(c * (b // d) for (c, _), d in zip(formula.terms, dens)), b
     num = _poly(formula.p, k)
     den = _poly(formula.q, k)
     if den == 0:
         raise ZeroDivisionError(f"q({k}) = 0")
     if den < 0:
         num, den = -num, -den
-    return [(num, den)]
+    return num, den
 
 
 def _abs_coeff_sum(formula) -> int:
@@ -100,9 +98,8 @@ def _abs_coeff_sum(formula) -> int:
     # crude magnitude bound for |p(k)/q(k)|, adequate for sane series
     bound = 1
     for k in range(0, 65):
-        num, den = _term_values(formula, k)[0]
-        if den:
-            bound = max(bound, abs(num) // abs(den) + 1)
+        num, den = _term(formula, k)
+        bound = max(bound, abs(num) // den + 1)
     return 2 * bound
 
 
@@ -113,46 +110,24 @@ def _evaluate_scaled(formula, prec: int):
     if top < 0:
         raise ValueError("precision smaller than formula shift")
     coeff_sum = _abs_coeff_sum(formula)
-    # once base**(-e) * q outgrows every numerator, remaining terms vanish
+    # with |p/q| <= C = coeff_sum, the scaled tail past term top + extra is
+    # at most C * base**-extra * base/(base-1) <= 2C * base**-extra < 1
     extra = 1
     while base ** extra <= 2 * coeff_sum:
         extra += 1
-    power = mpz(base) ** top
-    total = mpz(0)
-    divisions = 0
-    k = 0
-    e = top
-    while e >= -extra:
-        for num, den in _term_values(formula, k):
-            if e >= 0:
-                total += _signed_floor(num * power, den)
-            else:
-                total += _signed_floor(mpz(num), den * mpz(base) ** (-e))
-            divisions += 1
-        if e > 0:
-            power //= base
-        k += 1
-        e -= 1
-    return total, divisions + 2
+    _, q, b, t = _split(lambda k: (1, base if k else 1, *_term(formula, k)),
+                        0, top + extra)
+    return (mpz(base) ** top * t) // (b * q), _SERIES_ERR
 
 
 def evaluate(formula, digit_count: int, guard: int = 12) -> DigitBlock:
     """Leading fractional digits of the series value, guard-band certified."""
     if digit_count < 1:
         raise ValueError("digit_count must be >= 1")
-    base = formula.base
-    g = max(4, guard)
-    for _ in range(4):
-        x, err = _evaluate_scaled(formula, digit_count + g)
-        band = mpz(base) ** g
-        rem = x % band
-        margin = err + 1
-        if margin <= rem < band - margin:
-            frac = (x % (mpz(base) ** (digit_count + g))) // band
-            return DigitBlock(base, 1, int_to_digits(frac, base, digit_count))
-        g *= 2
-    raise PrecisionExhausted(
-        f"could not certify {digit_count} digits of {formula.description or formula}")
+    digits = _certify(lambda prec: _evaluate_scaled(formula, prec), formula.base,
+                      digit_count, max(4, guard),
+                      f"{digit_count} digits of {formula.description or formula}")
+    return DigitBlock(formula.base, 1, digits)
 
 
 # ---------------------------------------------------------------------------

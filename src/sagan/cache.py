@@ -56,7 +56,6 @@ def decode(blob: bytes) -> tuple[int, str, list[int]]:
     pos = 8 + ident_len
     if len(blob) < pos + 8:
         raise CacheError("cache file truncated")
-    identifier = blob[8:pos].decode("utf-8")
     (count,) = struct.unpack_from("<Q", blob, pos)
     pos += 8
     if len(blob) != pos + count + 4:
@@ -64,6 +63,7 @@ def decode(blob: bytes) -> tuple[int, str, list[int]]:
     (crc,) = struct.unpack_from("<I", blob, pos + count)
     if zlib.crc32(blob[:pos + count]) != crc:
         raise CacheError("CRC mismatch")
+    identifier = blob[8:8 + ident_len].decode("utf-8")  # only once the CRC holds
     digits = list(blob[pos:pos + count])
     for d in digits:
         if d >= base:
@@ -77,12 +77,15 @@ def cache_path(cache_dir: str | os.PathLike, identifier: str, base: int) -> Path
 
 
 def write_cache(path: str | os.PathLike, base: int, identifier: str, digits) -> None:
-    """Atomic whole-file write (temp file then rename)."""
+    """Atomic whole-file write (temp file, fsync, then rename)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     blob = encode(base, identifier, digits)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_bytes(blob)
+    with open(tmp, "wb") as fh:
+        fh.write(blob)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 

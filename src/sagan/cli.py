@@ -212,6 +212,9 @@ def cmd_search(args) -> int:
     if args.limit < 1:
         print("limit must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if not 1 <= args.n <= 4096:
+        print("n must be in 1..4096", file=sys.stderr)
+        return EXIT_USAGE
     if not 0 <= args.context_width <= MAX_CONTEXT_WIDTH:
         print(f"context width must be in 0..{MAX_CONTEXT_WIDTH}", file=sys.stderr)
         return EXIT_USAGE
@@ -320,7 +323,7 @@ def main(argv=None) -> int:
     except CarryAmbiguity as exc:
         print(f"carry ambiguity: {exc}", file=sys.stderr)
         return EXIT_AMBIGUITY
-    except SaganError as exc:
+    except (SaganError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -260,32 +260,46 @@ def int_to_digits(value, base: int, count: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # scaled-fraction generators: X with |X - frac(value) * base**prec| <= err
+#
+# Each series is one _split sum and one floor division, so X is off by under
+# one unit from that floor plus the scaled tail past the last term (and any
+# rounding of the division's inputs), which each series' term count keeps
+# below one unit. Integer offsets (frac(e) = e - 2) are exact: err = 2.
+
+_SERIES_ERR = 2
+
+
+def _split(term, lo: int, hi: int):
+    """Binary splitting (Haible & Papanikolaou 1998): (P, Q, B, T) for
+    S = sum_{lo<=k<hi} a(k)/b(k) * p(lo)..p(k) / (q(lo)..q(k)), where
+    term(k) = (p, q, a, b), P, Q, B are the products of p, q, b over the
+    range, and T = B * Q * S exactly."""
+    if hi - lo == 1:
+        p, q, a, b = term(mpz(lo))
+        return p, q, b, a * p
+    mid = (lo + hi) // 2
+    p1, q1, b1, t1 = _split(term, lo, mid)
+    p2, q2, b2, t2 = _split(term, mid, hi)
+    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+
+
+def _chudnovsky_term(k):
+    # 1/pi = 12 sum_k (-1)^k (6k)! (13591409 + 545140134k) / ((3k)! k!^3 640320^(3k+3/2))
+    if k == 0:
+        return 1, 1, 13591409, 1
+    return ((6 * k - 5) * (2 * k - 1) * (6 * k - 1), k * k * k * 10939058860032000,
+            (-1) ** k * (13591409 + 545140134 * k), 1)  # q: k^3 * 640320^3 / 24
+
 
 def _pi_scaled(base: int, prec: int):
-    """Chudnovsky series with binary splitting, scaled to base**prec."""
-    def split(a: int, b: int):
-        if b - a == 1:
-            if a == 0:
-                return mpz(1), mpz(1), mpz(13591409)
-            k = mpz(a)
-            p = (6 * k - 5) * (2 * k - 1) * (6 * k - 1)
-            q = k * k * k * 10939058860032000  # k^3 * 640320^3 / 24
-            t = (13591409 + 545140134 * k) * p
-            if a % 2:
-                t = -t
-            return p, q, t
-        m = (a + b) // 2
-        p1, q1, t1 = split(a, m)
-        p2, q2, t2 = split(m, b)
-        return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
-
-    # one series term adds ~14.18 decimal digits
+    # p(k)/q(k) < 72/10939058860032000 < 10**-14.18 and a(k) grows linearly,
+    # so N >= prec*log10(base)/14 + 1 terms leave a tail far below one unit;
+    # the isqrt error (< 1) is scaled by 426880 Q/T ~ pi/100.
     terms = max(2, int(prec * math.log10(base) / 14) + 2)
-    _, q, t = split(0, terms)
+    _, q, _, t = _split(_chudnovsky_term, 0, terms)
     scale = mpz(base) ** prec
     root = _isqrt(10005 * scale * scale)
-    x = (426880 * q * root) // t - 3 * scale
-    return x, 4
+    return (426880 * q * root) // t - 3 * scale, _SERIES_ERR
 
 
 def _sqrt2_scaled(base: int, prec: int):
@@ -294,35 +308,23 @@ def _sqrt2_scaled(base: int, prec: int):
 
 
 def _e_scaled(base: int, prec: int):
-    # frac(e) = sum_{k>=2} 1/k!; the floor chain compounds to < 1.5 units
-    # per term, so 2 * steps is a safe total bound
-    term = mpz(base) ** prec
-    total = mpz(0)
-    k = 1
-    steps = 0
-    while term:
-        k += 1
-        term //= k
-        total += term
-        steps += 1
-    return total, 2 * steps + 2
+    # e = sum_k 1/k!; the tail past N terms is below 2/N!, and N! > 2 * scale
+    # once lgamma(N + 1) clears ln(scale) + 1 (ln 2 plus float slack)
+    target = prec * math.log(base) + 1
+    terms = 2
+    while math.lgamma(terms + 1) <= target:
+        terms += 1
+    _, q, _, t = _split(lambda k: (1, k or 1, 1, 1), 0, terms)
+    scale = mpz(base) ** prec
+    return (scale * t) // q - 2 * scale, _SERIES_ERR
 
 
 def _log2_scaled(base: int, prec: int):
-    # ln 2 = 2 * atanh(1/3) = 2 * sum_{j>=0} 1 / ((2j+1) * 3^(2j+1))
-    scale = mpz(base) ** prec
-    total = mpz(0)
-    p3 = mpz(3)
-    j = 0
-    while True:
-        term = scale // (p3 * (2 * j + 1))
-        if not term:
-            break
-        total += term
-        j += 1
-        p3 *= 9
-    # j floor losses plus a sub-2-unit tail, all doubled with the sum
-    return 2 * total, 2 * j + 4
+    # ln 2 = 2 atanh(1/3) = (2/3) sum_k 9**-k / (2k+1): the tail past N terms
+    # is below 9**-N <= 1/scale (+2 terms of float slack)
+    terms = int(prec * math.log(base) / math.log(9)) + 2
+    _, q, b, t = _split(lambda k: (1, 9 if k else 1, 1, 2 * k + 1), 0, terms)
+    return (2 * mpz(base) ** prec * t) // (3 * b * q), _SERIES_ERR
 
 
 _SCALED_FNS = {PI: _pi_scaled, SQRT2: _sqrt2_scaled, E: _e_scaled, LOG2: _log2_scaled}
@@ -344,19 +346,20 @@ def _scaled_frac(kind: str, base: int, prec: int):
     return x, err
 
 
-def _certified_digits(kind: str, base: int, count: int, guard: int) -> list[int]:
-    """Digits certified by guard-band interval accounting, with retry."""
-    g = max(1, guard)
+def _certify(scaled, base: int, count: int, guard: int, what: str) -> list[int]:
+    """The `count` fractional digits of X // base**g, X, err = scaled(count + g),
+    once X mod base**g is more than err from both ends of the band, so that
+    no value within err of X carries into them; g doubles, four tries."""
+    g = guard
     for _ in range(4):
-        x, err = _scaled_frac(kind, base, count + g)
+        x, err = scaled(count + g)
         band = mpz(base) ** g
         rem = x % band
         margin = err + 1
         if margin <= rem < band - margin:
-            return int_to_digits(x // band, base, count)
+            return int_to_digits(x // band % mpz(base) ** count, base, count)
         g *= 2
-    raise PrecisionExhausted(
-        f"could not certify {count} base-{base} digits of {kind}")
+    raise PrecisionExhausted(f"could not certify {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +585,8 @@ def digits_in_base(constant: ConstantSpec, base: int, count: int,
     elif kind == FIBONACCI_CFRAC:
         return cfrac_digits(fibonacci_numbers(), base, count)
     elif kind in _SCALED_FNS:
-        digits = _certified_digits(kind, base, count, guard)
+        digits = _certify(lambda prec: _scaled_frac(kind, base, prec), base, count,
+                          max(1, guard), f"{count} base-{base} digits of {kind}")
     else:  # pragma: no cover - _KINDS is exhaustive
         raise UnsupportedConstant(kind)
     return DigitBlock(base, 1, digits)

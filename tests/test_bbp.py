@@ -9,6 +9,7 @@ import pytest
 from sagan.bbp import (
     BBPFormula,
     PolySeries,
+    _evaluate_scaled,
     digit_extract,
     digit_extract_info,
     evaluate,
@@ -73,6 +74,20 @@ class TestEvaluate:
         ninth = PolySeries(10, p=(1,), q=(9,))  # sum 10^-k / 9 = 10/81
         assert evaluate(ninth, 8).digits == \
             digits_in_base(ConstantSpec.rational(10, 81), 10, 8).digits
+
+    @pytest.mark.parametrize("formula, value", [
+        (pi_formula(), lambda mpmath: +mpmath.pi),
+        (log2_formula(), lambda mpmath: mpmath.log(2)),
+    ])
+    def test_scaled_value_within_err(self, formula, value):
+        # every prec in range crosses each step of the term count, including
+        # the prec just below a step, where the neglected tail is largest
+        import mpmath
+        for prec in [*range(formula.shift, 120), 1000]:
+            x, err = _evaluate_scaled(formula, prec)
+            with mpmath.workprec(prec * (formula.base - 1).bit_length() + 64):
+                diff = x - value(mpmath) * mpmath.mpf(formula.base) ** prec
+                assert abs(diff) <= err, (formula.description, prec, diff)
 
 
 class TestDigitExtract:

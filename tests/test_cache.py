@@ -1,5 +1,6 @@
 """SGND cache file format tests."""
 
+import os
 import struct
 import zlib
 
@@ -55,6 +56,12 @@ class TestEncodeDecode:
         with pytest.raises(CacheError):
             decode(bytes(blob))
 
+    def test_reject_identifier_flip_via_crc(self):
+        blob = bytearray(sample_blob())
+        blob[8] ^= 0xFF  # first identifier byte, no longer valid UTF-8
+        with pytest.raises(CacheError):
+            decode(bytes(blob))
+
     def test_reject_digit_out_of_base(self):
         # craft a CRC-valid file whose digit exceeds the base
         body = bytearray()
@@ -105,3 +112,22 @@ class TestFileRoundTrip:
         write_cache(path, 10, "pi", [1, 4])
         leftovers = [p for p in tmp_path.iterdir() if p.name != path.name]
         assert leftovers == []
+
+    def test_fsync_before_replace(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = cache_path(tmp_path, "pi", 10)
+        write_cache(path, 10, "pi", [1, 4])
+        assert calls == ["fsync", "replace"]
+        assert read_cache(path) == (10, "pi", [1, 4])

@@ -227,6 +227,20 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("search", "--constant", "pi", "-n", "0", "--limit", "100"), "n must be in 1..4096"),
+        (("search", "--constant", "pi", "-n", "5000", "--limit", "100"), "n must be in 1..4096"),
+        (("search", "--constant", "pi", "-n", "2", "--limit", "100", "--block-size", "0"),
+         "error: block_size must be >= 1"),
+        (("normality", "--constant", "pi", "--length", "0"), "error: count must be >= 1"),
+        (("ellipse", "-a", "0", "-b", "3", "--width", "8", "--height", "6"),
+         "error: semi-axes must be positive"),
+    ])
+    def test_bad_argument_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert message in err
+
 
 class TestErrorExitCodes:
     def test_precision_exhausted_exits_four(self, capsys, monkeypatch):

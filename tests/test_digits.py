@@ -2,6 +2,7 @@
 digit-by-digit root extraction, exact Fraction long division, and known
 printed expansions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,10 +22,12 @@ from sagan.digits import (
     open_stream,
     primes,
 )
+from sagan.digits import _SCALED_FNS, _certify
 from sagan.errors import (
     InsufficientInputDigits,
     InvalidDigit,
     NonPositiveCoefficient,
+    PrecisionExhausted,
     UnsupportedConstant,
 )
 
@@ -347,6 +350,60 @@ class TestHighPrecisionOracle:
                         frac -= d
                 got = list(digits_in_base(spec, base, count).digits)
                 assert got == expected, (name, base)
+
+
+class TestSeriesBounds:
+    """|X - frac(value) * base**prec| <= err for every scaled generator.
+
+    Every prec in 1..60 is checked, so each step of a series' term count is
+    crossed, including the prec just below a step, where the neglected tail
+    is largest against the one unit the bound allows it.
+    """
+
+    VALUES = {
+        "pi": lambda mpmath: +mpmath.pi,
+        "e": lambda mpmath: +mpmath.e,
+        "log2": lambda mpmath: mpmath.log(2),
+        "sqrt2": lambda mpmath: mpmath.sqrt(2),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    def test_scaled_value_within_err(self, kind):
+        import mpmath
+        cases = [(base, prec) for base in (2, 10, 11, 256) for prec in range(1, 61)]
+        cases += [(10, 139), (11, 2000), (256, 700), (2, 5000)]
+        for base, prec in cases:
+            x, err = _SCALED_FNS[kind](base, prec)
+            with mpmath.workprec(int(prec * math.log2(base)) + 64):
+                value = self.VALUES[kind](mpmath)
+                diff = x - mpmath.frac(value) * mpmath.mpf(base) ** prec
+                assert abs(diff) <= err, (kind, base, prec, diff)
+
+
+class TestCertifier:
+    """X = 123 * 10**g + rem with err = 2, for three certified digits."""
+
+    @staticmethod
+    def certify(rem_of_band):
+        calls = []
+
+        def scaled(prec):
+            g = prec - 3
+            calls.append(g)
+            return 123 * 10 ** g + rem_of_band(10 ** g), 2
+
+        try:
+            return _certify(scaled, 10, 3, 2, "test digits"), calls
+        except PrecisionExhausted:
+            return None, calls
+
+    def test_lower_end_of_band(self):
+        assert self.certify(lambda band: 2) == (None, [2, 4, 8, 16])
+        assert self.certify(lambda band: 3) == ([1, 2, 3], [2])
+
+    def test_upper_end_of_band(self):
+        assert self.certify(lambda band: band - 1 - 2) == (None, [2, 4, 8, 16])
+        assert self.certify(lambda band: band - 1 - 3) == ([1, 2, 3], [2])
 
 
 class TestIntDigitHelpers:
