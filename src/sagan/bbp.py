@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .digits import _SERIES_ERR, DigitBlock, _certify, _split, int_to_digits, mpz
+from . import _arith
+from ._arith import mpz
+from .digits import _SERIES_ERR, DigitBlock, _certify, _split, int_to_digits
 from .errors import CarryAmbiguity
 
 
@@ -117,7 +119,7 @@ def _evaluate_scaled(formula, prec: int):
         extra += 1
     _, q, b, t = _split(lambda k: (1, base if k else 1, *_term(formula, k)),
                         0, top + extra)
-    return (mpz(base) ** top * t) // (b * q), _SERIES_ERR
+    return _arith.divmod(mpz(base) ** top * t, b * q)[0], _SERIES_ERR
 
 
 def evaluate(formula, digit_count: int, guard: int = 12) -> DigitBlock:

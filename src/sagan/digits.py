@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from . import _arith
+from ._arith import isqrt, mpz
 from .errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -19,12 +21,6 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedConstant,
 )
-
-try:
-    from gmpy2 import mpz, isqrt as _isqrt
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    mpz = int
-    from math import isqrt as _isqrt
 
 DEFAULT_GUARD = 12
 MIN_BASE = 2
@@ -248,7 +244,7 @@ def int_to_digits(value, base: int, count: int) -> list[int]:
             out.extend(small)
             return
         lo_n = n // 2
-        hi, lo = divmod(v, power(lo_n))
+        hi, lo = _arith.divmod(v, power(lo_n))
         emit(hi, n - lo_n)
         emit(lo, lo_n)
 
@@ -298,13 +294,13 @@ def _pi_scaled(base: int, prec: int):
     terms = max(2, int(prec * math.log10(base) / 14) + 2)
     _, q, _, t = _split(_chudnovsky_term, 0, terms)
     scale = mpz(base) ** prec
-    root = _isqrt(10005 * scale * scale)
-    return (426880 * q * root) // t - 3 * scale, _SERIES_ERR
+    root = isqrt(10005 * scale * scale)
+    return _arith.divmod(426880 * q * root, t)[0] - 3 * scale, _SERIES_ERR
 
 
 def _sqrt2_scaled(base: int, prec: int):
     scale = mpz(base) ** prec
-    return _isqrt(2 * scale * scale) - scale, 1
+    return isqrt(2 * scale * scale) - scale, 1
 
 
 def _e_scaled(base: int, prec: int):
@@ -316,7 +312,7 @@ def _e_scaled(base: int, prec: int):
         terms += 1
     _, q, _, t = _split(lambda k: (1, k or 1, 1, 1), 0, terms)
     scale = mpz(base) ** prec
-    return (scale * t) // q - 2 * scale, _SERIES_ERR
+    return _arith.divmod(scale * t, q)[0] - 2 * scale, _SERIES_ERR
 
 
 def _log2_scaled(base: int, prec: int):
@@ -324,25 +320,31 @@ def _log2_scaled(base: int, prec: int):
     # is below 9**-N <= 1/scale (+2 terms of float slack)
     terms = int(prec * math.log(base) / math.log(9)) + 2
     _, q, b, t = _split(lambda k: (1, 9 if k else 1, 1, 2 * k + 1), 0, terms)
-    return (2 * mpz(base) ** prec * t) // (3 * b * q), _SERIES_ERR
+    return _arith.divmod(2 * mpz(base) ** prec * t, 3 * b * q)[0], _SERIES_ERR
 
 
 _SCALED_FNS = {PI: _pi_scaled, SQRT2: _sqrt2_scaled, E: _e_scaled, LOG2: _log2_scaled}
 
-# largest scaled fraction computed so far, per (kind, base): (prec, X, err)
+# largest scaled fraction computed so far, (prec, X, err), for each of the
+# _SCALED_CACHE_SIZE most recently used (kind, base) pairs, oldest first
+_SCALED_CACHE_SIZE = 4
 _scaled_cache: dict[tuple[str, int], tuple[int, object, int]] = {}
 
 
 def _scaled_frac(kind: str, base: int, prec: int):
-    cached = _scaled_cache.get((kind, base))
+    key = (kind, base)
+    cached = _scaled_cache.pop(key, None)
     if cached is not None and cached[0] >= prec:
+        _scaled_cache[key] = cached
         cprec, x, err = cached
         if cprec == prec:
             return x, err
         shift = mpz(base) ** (cprec - prec)
-        return x // shift, err // shift + 2
+        return _arith.divmod(x, shift)[0], err // shift + 2
     x, err = _SCALED_FNS[kind](base, prec)
-    _scaled_cache[(kind, base)] = (prec, x, err)
+    _scaled_cache[key] = (prec, x, err)
+    if len(_scaled_cache) > _SCALED_CACHE_SIZE:
+        del _scaled_cache[next(iter(_scaled_cache))]
     return x, err
 
 
@@ -475,8 +477,8 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         if q_prev and q_cur * q_prev > bound:
-            lo = ((p_cur - a0 * q_cur) * scale) // q_cur
-            hi = ((p_prev - a0 * q_prev) * scale) // q_prev
+            lo = _arith.divmod((p_cur - a0 * q_cur) * scale, q_cur)[0]
+            hi = _arith.divmod((p_prev - a0 * q_prev) * scale, q_prev)[0]
             if lo == hi:
                 return DigitBlock(base, 1, int_to_digits(lo, base, count))
     if not exhausted:
@@ -504,7 +506,7 @@ def _ceil_digits_needed(out_count: int, target_base: int, source_base: int) -> i
 def _convert_run(src_digits: Sequence[int], src_base: int, used: int,
                  dst_base: int, out_count: int) -> list[int]:
     x = digits_to_int(src_digits[:used], src_base)
-    y = (x * mpz(dst_base) ** out_count) // (mpz(src_base) ** used)
+    y = _arith.divmod(x * mpz(dst_base) ** out_count, mpz(src_base) ** used)[0]
     return int_to_digits(y, dst_base, out_count)
 
 
@@ -552,8 +554,8 @@ def _convert_from_native(spec: ConstantSpec, base: int, count: int) -> list[int]
         x = digits_to_int(src, src_base)
         denom = mpz(src_base) ** need
         numer = mpz(base) ** count
-        lo = (x * numer) // denom
-        hi = ((x + 1) * numer) // denom
+        lo = _arith.divmod(x * numer, denom)[0]
+        hi = _arith.divmod((x + 1) * numer, denom)[0]
         if lo == hi:
             return int_to_digits(lo, base, count)
         need *= 2

@@ -22,7 +22,7 @@ from sagan.digits import (
     open_stream,
     primes,
 )
-from sagan.digits import _SCALED_FNS, _certify
+from sagan.digits import DEFAULT_GUARD, _SCALED_CACHE_SIZE, _SCALED_FNS, _certify, _scaled_cache
 from sagan.errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -378,6 +378,21 @@ class TestSeriesBounds:
                 value = self.VALUES[kind](mpmath)
                 diff = x - mpmath.frac(value) * mpmath.mpf(base) ** prec
                 assert abs(diff) <= err, (kind, base, prec, diff)
+
+
+class TestScaledCache:
+    def test_bounded_and_equal_to_uncached(self):
+        pairs = [(kind, base) for kind in sorted(_SCALED_FNS) for base in (3, 10)]
+        assert len(pairs) > _SCALED_CACHE_SIZE
+        # each pair twice, so evicted pairs come back; 25 after 40 digits is
+        # served from the cached 40-digit value
+        for kind, base in pairs * 2:
+            for count in (40, 25):
+                got = list(digits_in_base(ConstantSpec.parse(kind), base, count).digits)
+                assert len(_scaled_cache) <= _SCALED_CACHE_SIZE
+                uncached = _certify(lambda prec: _SCALED_FNS[kind](base, prec), base,
+                                    count, DEFAULT_GUARD, "uncached digits")
+                assert got == uncached, (kind, base, count)
 
 
 class TestCertifier:
