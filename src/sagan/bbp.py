@@ -219,7 +219,7 @@ def extract_digits(formula: BBPFormula, position: int, count: int) -> DigitBlock
     overlap = 2
     while len(digits) < count:
         chunk = digit_extract(formula, pos, min(8, count - len(digits) + (overlap if digits else 0)))
-        got = list(chunk.digits)
+        got = list(chunk.data)
         if digits:
             if digits[-overlap:] != got[:overlap]:
                 raise CarryAmbiguity(

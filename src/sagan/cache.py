@@ -34,9 +34,8 @@ def encode(base: int, identifier: str, digits) -> bytes:
     body += ident
     body += struct.pack("<Q", len(digits))
     payload = bytes(digits)
-    for d in payload:
-        if d >= base:
-            raise CacheError(f"digit {d} >= base {base}")
+    if payload and max(payload) >= base:
+        raise CacheError(f"digit {max(payload)} >= base {base}")
     body += payload
     body += struct.pack("<I", zlib.crc32(bytes(body)))
     return bytes(body)
@@ -64,11 +63,10 @@ def decode(blob: bytes) -> tuple[int, str, list[int]]:
     if zlib.crc32(blob[:pos + count]) != crc:
         raise CacheError("CRC mismatch")
     identifier = blob[8:8 + ident_len].decode("utf-8")  # only once the CRC holds
-    digits = list(blob[pos:pos + count])
-    for d in digits:
-        if d >= base:
-            raise CacheError(f"digit {d} >= base {base}")
-    return base, identifier, digits
+    payload = blob[pos:pos + count]
+    if payload and max(payload) >= base:
+        raise CacheError(f"digit {max(payload)} >= base {base}")
+    return base, identifier, list(payload)
 
 
 def cache_path(cache_dir: str | os.PathLike, identifier: str, base: int) -> Path:

@@ -38,17 +38,15 @@ EXIT_PRECISION = 4
 EXIT_AMBIGUITY = 5
 
 
+_GLYPHS = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+
+
 def digit_glyphs(digits) -> str:
     """0-9, then a-z for 10..35, bracketed decimal beyond."""
-    out = []
-    for d in digits:
-        if d < 10:
-            out.append(str(d))
-        elif d < 36:
-            out.append(chr(ord("a") + d - 10))
-        else:
-            out.append(f"[{d}]")
-    return "".join(out)
+    data = bytes(digits)
+    if not data or max(data) < 36:
+        return data.translate(_GLYPHS).decode("ascii")
+    return "".join(chr(_GLYPHS[d]) if d < 36 else f"[{d}]" for d in data)
 
 
 def sci(value: Decimal, sig: int = 4) -> str:
@@ -161,11 +159,11 @@ def cmd_digits(args) -> int:
                 print(digit_glyphs(cached[:args.count]))
                 return EXIT_OK
         block = digits_in_base(spec, args.base, args.count)
-        cache_mod.write_cache(path, args.base, ident, block.digits)
-        print(digit_glyphs(block.digits))
+        cache_mod.write_cache(path, args.base, ident, block.data)
+        print(digit_glyphs(block.data))
         return EXIT_OK
     block = digits_in_base(spec, args.base, args.count)
-    print(digit_glyphs(block.digits))
+    print(digit_glyphs(block.data))
     return EXIT_OK
 
 
@@ -195,10 +193,10 @@ def _render_search_text(result, n: int) -> str:
         return "\n".join(lines)
     lines.append(f"position {result.position} "
                  f"(digits examined: {result.digits_examined})")
-    window = digit_glyphs(result.window.digits)
+    window = digit_glyphs(result.window.data)
     lines.append("window as square raster:")
     for r in range(n):
-        lines.append("  " + digit_glyphs(result.window.digits[r * n:(r + 1) * n]))
+        lines.append("  " + digit_glyphs(result.window.data[r * n:(r + 1) * n]))
     before = digit_glyphs(result.context_before)
     after = digit_glyphs(result.context_after)
     lines.append("context:")
@@ -257,7 +255,7 @@ def cmd_bbp(args) -> int:
         block = bbp_mod.extract_digits(formula, args.position, args.count)
         guard = None
     suffix = f" (guard bits: {guard})" if guard is not None else " (assembled from 8-digit windows)"
-    print(digit_glyphs(block.digits) + suffix)
+    print(digit_glyphs(block.data) + suffix)
     return EXIT_OK
 
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import _arith
 from ._arith import isqrt, mpz
@@ -136,50 +139,74 @@ class ConstantSpec:
 
 
 class DigitBlock:
-    """A contiguous run of fractional digits, 1-indexed by position."""
+    """A contiguous run of fractional digits, 1-indexed by position.
 
-    __slots__ = ("base", "start_position", "digits")
+    The digits are held as one `bytes` object, `data`, one byte per digit
+    (MAX_BASE is 256); `digits` is the same run as a tuple of ints.
+    """
+
+    __slots__ = ("base", "start_position", "data")
 
     def __init__(self, base: int, start_position: int, digits: Sequence[int]):
         if not MIN_BASE <= base <= MAX_BASE:
             raise InvalidDigit(f"base {base} outside [{MIN_BASE}, {MAX_BASE}]")
         if start_position < 1:
             raise ValueError("start_position is 1-indexed and must be >= 1")
-        digits = tuple(int(d) for d in digits)
-        for d in digits:
-            if not 0 <= d < base:
-                raise InvalidDigit(f"digit {d} out of range for base {base}")
+        data = _digit_bytes(digits, base)
+        if data and max(data) >= base:
+            raise InvalidDigit(f"digit {max(data)} out of range for base {base}")
         self.base = base
         self.start_position = start_position
-        self.digits = digits
+        self.data = data
+
+    @property
+    def digits(self) -> tuple:
+        return tuple(self.data)
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return len(self.data)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DigitBlock)
                 and self.base == other.base
                 and self.start_position == other.start_position
-                and self.digits == other.digits)
+                and self.data == other.data)
 
     def __hash__(self) -> int:
-        return hash((self.base, self.start_position, self.digits))
+        return hash((self.base, self.start_position, self.data))
 
     @property
     def end_position(self) -> int:
-        return self.start_position + len(self.digits) - 1
+        return self.start_position + len(self.data) - 1
 
     def digit_at(self, position: int) -> int:
         if not self.start_position <= position <= self.end_position:
             raise IndexError(f"position {position} outside block")
-        return self.digits[position - self.start_position]
+        return self.data[position - self.start_position]
 
     def __repr__(self) -> str:
-        shown = ",".join(str(d) for d in self.digits[:12])
-        if len(self.digits) > 12:
+        shown = ",".join(map(str, self.data[:12]))
+        if len(self.data) > 12:
             shown += ",..."
         return (f"DigitBlock(base={self.base}, start={self.start_position}, "
-                f"len={len(self.digits)}, digits=[{shown}])")
+                f"len={len(self.data)}, digits=[{shown}])")
+
+
+def _digit_bytes(digits, base: int) -> bytes:
+    """One byte per digit. Bytes pass through; other input is taken as ints
+    (coerced with int() when bytes() refuses it), each in 0..255."""
+    if isinstance(digits, (bytes, bytearray)):
+        return bytes(digits)
+    if not isinstance(digits, (list, tuple)):
+        digits = list(digits)
+    try:
+        return bytes(digits)
+    except (TypeError, ValueError):  # a non-int digit, or one outside 0..255
+        values = [int(d) for d in digits]
+        for d in values:
+            if not 0 <= d < base:
+                raise InvalidDigit(f"digit {d} out of range for base {base}") from None
+        return bytes(values)
 
 
 # ---------------------------------------------------------------------------
@@ -404,30 +431,46 @@ def fibonacci_numbers() -> Iterator[int]:
         a, b = b, a + b
 
 
-def _small_digits(n: int, base: int) -> list[int]:
-    if n == 0:
-        return [0]
-    out = []
-    while n:
-        n, d = divmod(n, base)
-        out.append(d)
-    out.reverse()
-    return out
+_CHUNK = 4096  # numbers per chunk of a concatenation constant
+_ASCII_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def _concat_digit_gen(spec: ConstantSpec) -> Iterator[int]:
+def _decimal_bytes(numbers) -> bytes:
+    """The decimal digits of `numbers`, concatenated, one byte per digit."""
+    return "".join(map(str, numbers)).encode("ascii").translate(_ASCII_DIGITS)
+
+
+def _champernowne_chunks(base: int) -> Iterator[bytes]:
+    # numbers n..stop-1 all have `width` digits; each row of the quotient
+    # table is one number's digits, most significant first
+    n, width, top = 1, 1, base
+    while True:
+        stop = min(n + _CHUNK, top)
+        values = np.arange(n, stop, dtype=np.int64)[:, None]
+        powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        yield (values // powers % base).astype(np.uint8).tobytes()
+        n = stop
+        if n == top:
+            width, top = width + 1, top * base
+
+
+def _concat_chunks(spec: ConstantSpec) -> Iterator[bytes]:
+    """Digits of a concatenation constant in its native base, in chunks."""
     if spec.kind == CHAMPERNOWNE:
-        b = spec.base
-        n = 1
-        while True:
-            yield from _small_digits(n, b)
-            n += 1
+        yield from _champernowne_chunks(spec.base)
     elif spec.kind == COPELAND_ERDOS:
-        for p in primes():
-            yield from _small_digits(p, 10)
+        found = primes()
+        while True:
+            yield _decimal_bytes(islice(found, _CHUNK))
     elif spec.kind == FIBONACCI_CONCAT:
         for f in fibonacci_numbers():
-            yield from _small_digits(f, 10)
+            if f.bit_length() < 12000:  # str() refuses ints past 4300 digits
+                yield _decimal_bytes((f,))
+            else:
+                width = int(f.bit_length() * math.log10(2)) + 1
+                while mpz(10) ** width <= f:
+                    width += 1
+                yield bytes(int_to_digits(f, 10, width)).lstrip(b"\0")
     else:
         raise UnsupportedConstant(f"{spec.kind} is not a concatenation constant")
 
@@ -436,9 +479,11 @@ def concat_constant_digits(spec: ConstantSpec, count: int) -> DigitBlock:
     """First `count` digits of a concatenation constant in its native base."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    gen = _concat_digit_gen(spec)
-    digits = [next(gen) for _ in range(count)]
-    return DigitBlock(spec.native_base(), 1, digits)
+    data = bytearray()
+    chunks = _concat_chunks(spec)
+    while len(data) < count:
+        data += next(chunks)
+    return DigitBlock(spec.native_base(), 1, data[:count])
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +549,11 @@ def _ceil_digits_needed(out_count: int, target_base: int, source_base: int) -> i
 
 
 def _convert_run(src_digits: Sequence[int], src_base: int, used: int,
-                 dst_base: int, out_count: int) -> list[int]:
-    x = digits_to_int(src_digits[:used], src_base)
-    y = _arith.divmod(x * mpz(dst_base) ** out_count, mpz(src_base) ** used)[0]
+                 dst_base: int, out_count: int, upper: bool = False) -> list[int]:
+    """out_count dst_base digits of the fraction src_digits[:used]; with
+    `upper`, of the largest value below it plus one unit in its last place."""
+    x = digits_to_int(src_digits[:used], src_base) + upper
+    y = _arith.divmod(x * mpz(dst_base) ** out_count - upper, mpz(src_base) ** used)[0]
     return int_to_digits(y, dst_base, out_count)
 
 
@@ -514,9 +561,14 @@ def base_convert(decimal_fraction, target_base: int, out_count: int,
                  guard: int = DEFAULT_GUARD) -> DigitBlock:
     """Convert leading decimal fraction digits to `out_count` digits in `target_base`.
 
-    Consumes ceil(out_count * log10(target_base)) + guard input digits and
-    certifies the output by recomputing with the guard doubled; disagreement
-    raises PrecisionExhausted instead of returning unstable digits.
+    Returns the digits of the value that the first need + guard input digits
+    represent, need = ceil(out_count * log10(target_base)), once they agree
+    with a run over need + 2*guard digits. With that many digits supplied the
+    second run reads them; with fewer, it checks both ends of the interval
+    that every continuation of the supplied digits lies in, so the check
+    never repeats the first run. Disagreement raises PrecisionExhausted
+    instead of returning unstable digits. With guard 0 nothing past the
+    first need digits is checked.
     """
     _check_base(target_base)
     if out_count < 1:
@@ -526,19 +578,19 @@ def base_convert(decimal_fraction, target_base: int, out_count: int,
             raise InvalidDigit("input block must be base 10")
         if decimal_fraction.start_position != 1:
             raise InvalidDigit("input block must start at position 1")
-        src = decimal_fraction.digits
+        src = decimal_fraction.data
     else:
-        src = tuple(int(d) for d in decimal_fraction)
-        for d in src:
-            if not 0 <= d <= 9:
-                raise InvalidDigit(f"decimal input digit {d} >= 10")
+        src = DigitBlock(10, 1, decimal_fraction).data
     need = _ceil_digits_needed(out_count, target_base, 10)
     if len(src) < need + guard:
         raise InsufficientInputDigits(
             f"need at least {need + guard} decimal digits, got {len(src)}")
     first = _convert_run(src, 10, need + guard, target_base, out_count)
-    second = _convert_run(src, 10, min(len(src), need + 2 * guard), target_base, out_count)
-    if first != second:
+    used = min(len(src), need + 2 * guard)
+    checks = [_convert_run(src, 10, used, target_base, out_count)]
+    if used < need + 2 * guard:
+        checks.append(_convert_run(src, 10, used, target_base, out_count, upper=True))
+    if any(c != first for c in checks):
         raise PrecisionExhausted(
             "base conversion unstable under guard doubling; supply more digits")
     return DigitBlock(target_base, 1, first)
@@ -550,7 +602,7 @@ def _convert_from_native(spec: ConstantSpec, base: int, count: int) -> list[int]
     src_base = spec.native_base()
     need = _ceil_digits_needed(count, base, src_base) + 8
     for _ in range(5):
-        src = concat_constant_digits(spec, need).digits
+        src = concat_constant_digits(spec, need).data
         x = digits_to_int(src, src_base)
         denom = mpz(src_base) ** need
         numer = mpz(base) ** count
@@ -607,7 +659,9 @@ class DigitStream:
     """Single-consumer pull stream of contiguous DigitBlocks.
 
     Two independent streams over the same (constant, base) produce identical
-    digit prefixes; precision for recomputed constants grows geometrically.
+    digit prefixes; precision for recomputed constants grows geometrically,
+    up to what reserve() says will be read. Digits behind the cursor are
+    dropped once they fill half the buffer.
     """
 
     def __init__(self, source: ConstantSpec, base: int, block_size: int):
@@ -621,36 +675,48 @@ class DigitStream:
         self.base = base
         self.block_size = block_size
         self.cursor = 1
-        self._digits: list[int] = []
-        self._gen: Iterator[int] | None = None
+        self._buf = bytearray()  # digits from position self._first on
+        self._first = 1
+        self._computed = 0       # digits the last recomputation produced
+        self._horizon: int | None = None  # see reserve()
+        self._chunks: Iterator[bytes] | None = None
         if kind in (CHAMPERNOWNE, COPELAND_ERDOS, FIBONACCI_CONCAT) and base == source.native_base():
-            self._gen = _concat_digit_gen(source)
+            self._chunks = _concat_chunks(source)
 
-    def _ensure(self, upto: int):
-        if len(self._digits) >= upto:
-            return
-        if self._gen is not None:
-            gen = self._gen
-            self._digits.extend(next(gen) for _ in range(upto - len(self._digits)))
-            return
-        target = max(upto, 2 * len(self._digits), 4 * self.block_size, 64)
-        block = digits_in_base(self.source, self.base, target)
-        self._digits = list(block.digits)
+    def _read(self, count: int) -> bytes:
+        """The `count` digits from the cursor; advances the cursor past them."""
+        start, stop = self.cursor, self.cursor + count
+        if self._chunks is not None:
+            while self._first + len(self._buf) < stop:
+                self._buf += next(self._chunks)
+        elif self._first + len(self._buf) < stop:
+            grow = max(2 * self._computed, 4 * self.block_size, 64)
+            if self._horizon is not None:
+                grow = min(grow, self._horizon)
+            target = max(stop - 1, grow)
+            self._buf = bytearray(digits_in_base(self.source, self.base, target).data)
+            self._first, self._computed = 1, target
+        if start - self._first > len(self._buf) // 2:
+            del self._buf[:start - self._first]
+            self._first = start
+        self.cursor = stop
+        return bytes(self._buf[start - self._first:stop - self._first])
+
+    def reserve(self, count: int):
+        """Only the next `count` digits will be read: a recomputation grows
+        no further than the end of the block that holds the last of them,
+        unless a read goes past it."""
+        blocks = max(0, -(-count // self.block_size))
+        self._horizon = self.cursor - 1 + blocks * self.block_size
 
     def next_block(self) -> DigitBlock:
         start = self.cursor
-        self._ensure(start + self.block_size - 1)
-        digits = self._digits[start - 1:start - 1 + self.block_size]
-        self.cursor = start + self.block_size
-        return DigitBlock(self.base, start, digits)
+        return DigitBlock(self.base, start, self._read(self.block_size))
 
     def take(self, count: int) -> DigitBlock:
         """Next `count` digits from the cursor as one block."""
         start = self.cursor
-        self._ensure(start + count - 1)
-        digits = self._digits[start - 1:start - 1 + count]
-        self.cursor = start + count
-        return DigitBlock(self.base, start, digits)
+        return DigitBlock(self.base, start, self._read(count))
 
     def skip(self, count: int):
         """Advance the cursor without emitting digits."""

@@ -8,12 +8,12 @@ a proof of normality, and report text says so.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Context as DecimalContext, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
 from scipy.special import gammaincc
 
 from .digits import ConstantSpec, DigitBlock, digits_in_base
@@ -47,15 +47,30 @@ class KGramCounts:
 def kgram_counts(digits: DigitBlock, k: int) -> KGramCounts:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k * math.log2(digits.base) > TABLE_BUDGET_BITS:
+    base = digits.base
+    if k * math.log2(base) > TABLE_BUDGET_BITS:
         raise KTooLarge(
-            f"base**k table for base {digits.base}, k {k} exceeds "
+            f"base**k table for base {base}, k {k} exceeds "
             f"2**{TABLE_BUDGET_BITS} cells")
-    if len(digits) < k:
-        raise BlockTooShort(f"need at least {k} digits, got {len(digits)}")
-    seq = digits.digits
-    grams = zip(*(seq[i:] for i in range(k)))
-    return KGramCounts(digits.base, k, len(seq), dict(Counter(grams)))
+    n = len(digits)
+    if n < k:
+        raise BlockTooShort(f"need at least {k} digits, got {n}")
+    # each window d_0..d_{k-1} as the cell index sum d_i * base**(k-1-i)
+    seq = np.frombuffer(digits.data, dtype=np.uint8)
+    samples = n - k + 1
+    index = seq[:samples].astype(np.intp)
+    for i in range(1, k):
+        index *= base
+        index += seq[i:i + samples]
+    if base ** k <= samples:  # a table no larger than the index array
+        tally = np.bincount(index)
+        cells = np.flatnonzero(tally)
+        hits = tally[cells]
+    else:
+        cells, hits = np.unique(index, return_counts=True)
+    columns = [cells // base ** (k - 1 - i) % base for i in range(k)]
+    grams = map(tuple, np.stack(columns, axis=1).tolist())
+    return KGramCounts(base, k, n, dict(zip(grams, hits.tolist())))
 
 
 class ChiSquare(NamedTuple):

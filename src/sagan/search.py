@@ -2,16 +2,19 @@
 plus the expected-position and CPU-cost estimators.
 
 Matching runs over the flattened 1-D digit string; the square raster view
-of a matched window is a rendering concern. Scanning advances one digit at
-a time so the reported anchor is minimal.
+of a matched window is a rendering concern. A matcher compiles to one regex
+of byte classes; the leftmost match of that fixed-length pattern is the
+minimal anchor.
 """
 
 from __future__ import annotations
 
 import decimal
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import groupby
 
 from .digits import ConstantSpec, DigitBlock, DigitStream, open_stream
 from .errors import BaseMismatch, BaseTooSmall, DigitOutOfRange, LimitTooSmall
@@ -24,29 +27,46 @@ NANOSECONDS_PER_YEAR = Decimal("3.2E+16")
 UNIVERSE_AGE_YEARS = Decimal("1.35E+10")
 
 
-class CompiledMatcher:
-    """Per-position admissible digit sets plus shift-and bit masks."""
+def _byte_class(digits: frozenset) -> bytes:
+    """Regex for one byte in `digits`: hex escapes, runs as ranges."""
+    runs: list[list[int]] = []
+    for d in sorted(digits):
+        if runs and runs[-1][1] == d - 1:
+            runs[-1][1] = d
+        else:
+            runs.append([d, d])
+    body = b"".join(b"\\x%02x" % lo if lo == hi else b"\\x%02x-\\x%02x" % (lo, hi)
+                    for lo, hi in runs)
+    return body if len(digits) == 1 else b"[" + body + b"]"
 
-    __slots__ = ("base", "admissible", "masks")
+
+class CompiledMatcher:
+    """Per-position admissible digit sets, and `regex`, which matches a
+    window of digit bytes exactly when every digit is admissible: one byte
+    class per run of equal sets, e.g. [P]{k}[Q]{m}."""
+
+    __slots__ = ("base", "admissible", "regex")
 
     def __init__(self, base: int, admissible):
-        sets = tuple(frozenset(int(d) for d in s) for s in admissible)
+        distinct: dict[frozenset, frozenset] = {}
+        sets = []
+        for s in map(frozenset, admissible):
+            checked = distinct.get(s)
+            if checked is None:
+                checked = distinct[s] = frozenset(int(d) for d in s)
+                if not checked:
+                    raise ValueError("admissible sets must be non-empty")
+                if any(d < 0 or d >= base for d in checked):
+                    raise BaseTooSmall(
+                        f"digit set {sorted(checked)} not representable in base {base}")
+            sets.append(checked)
         if not sets:
             raise ValueError("matcher needs at least one position")
-        for s in sets:
-            if not s:
-                raise ValueError("admissible sets must be non-empty")
-            if any(d < 0 or d >= base for d in s):
-                raise BaseTooSmall(
-                    f"digit set {sorted(s)} not representable in base {base}")
         self.base = base
-        self.admissible = sets
-        masks = [0] * base
-        for i, s in enumerate(sets):
-            bit = 1 << i
-            for d in s:
-                masks[d] |= bit
-        self.masks = masks
+        self.admissible = tuple(sets)
+        runs = ((s, sum(1 for _ in run)) for s, run in groupby(sets))
+        self.regex = re.compile(b"".join(
+            _byte_class(s) + (b"{%d}" % k if k > 1 else b"") for s, k in runs))
 
     @property
     def length(self) -> int:
@@ -87,10 +107,17 @@ class SearchResult:
     base: int
 
 
-def find_first(stream: DigitStream, matcher: CompiledMatcher, limit: int,
-               context_width: int = 12) -> SearchResult:
-    """Smallest anchor p with digits p..p+len-1 all admissible, scanning
-    one position at a time up to `limit` digits."""
+def _scan(stream: DigitStream, matcher: CompiledMatcher, limit: int,
+          context_width: int, chunk: int | None = None) -> SearchResult:
+    """Smallest anchor p <= limit - len + 1 whose window the matcher admits.
+
+    Reserves the `limit` + `context_width` digits it can read, then pulls
+    blocks from `stream` into one buffer and, after each pull, searches
+    the anchors whose windows it now holds, at most `chunk` anchors per regex
+    search when given. Between pulls the buffer keeps only the last
+    len - 1 + context_width digits, enough for the next window and the
+    context before it.
+    """
     if stream.base != matcher.base:
         raise BaseMismatch(
             f"stream base {stream.base} != matcher base {matcher.base}")
@@ -100,35 +127,43 @@ def find_first(stream: DigitStream, matcher: CompiledMatcher, limit: int,
     if context_width < 0:
         raise ValueError("context width must be >= 0")
 
-    masks = matcher.masks
-    goal = 1 << (length - 1)
-    state = 0
-    seen: list[int] = []
-    pos = 0
-    anchor = None
-    while pos < limit and anchor is None:
-        block = stream.next_block()
-        seen.extend(block.digits)
-        for d in block.digits:
-            pos += 1
-            state = ((state << 1) | 1) & masks[d]
-            if state & goal:
-                anchor = pos - length + 1
-                break
-            if pos >= limit:
-                break
+    stream.reserve(limit + context_width)
+    search = matcher.regex.search
+    last = limit - length + 1
+    buf, first = bytearray(), 1  # buf[0] is the digit at position `first`
+    anchor = 1                   # smallest anchor not yet searched
+    hit = None
+    while hit is None and anchor <= last:
+        keep = max(first, anchor - context_width)
+        del buf[:keep - first]
+        first = keep
+        buf += stream.next_block().data
+        ready = min(last, first + len(buf) - length)
+        while hit is None and anchor <= ready:
+            hi = ready if chunk is None else min(ready, anchor + chunk - 1)
+            m = search(buf, anchor - first, hi - first + length)
+            if m is not None:
+                hit = first + m.start()
+            anchor = hi + 1
 
-    if anchor is None:
+    if hit is None:
         return SearchResult(False, None, None, (), (), limit, limit, matcher.base)
 
-    window = DigitBlock(matcher.base, anchor,
-                        seen[anchor - 1:anchor - 1 + length])
-    before = tuple(seen[max(0, anchor - 1 - context_width):anchor - 1])
-    end = anchor + length - 1
-    while len(seen) < end + context_width:
-        seen.extend(stream.next_block().digits)
-    after = tuple(seen[end:end + context_width])
-    return SearchResult(True, anchor, window, before, after, end, limit, matcher.base)
+    end = hit + length - 1
+    while first + len(buf) - 1 < end + context_width:
+        buf += stream.next_block().data
+    i = hit - first
+    window = DigitBlock(matcher.base, hit, buf[i:i + length])
+    before = tuple(buf[max(0, i - context_width):i])
+    after = tuple(buf[i + length:i + length + context_width])
+    return SearchResult(True, hit, window, before, after, end, limit, matcher.base)
+
+
+def find_first(stream: DigitStream, matcher: CompiledMatcher, limit: int,
+               context_width: int = 12) -> SearchResult:
+    """Smallest anchor p with digits p..p+len-1 all admissible, among the
+    first `limit` digits of the stream."""
+    return _scan(stream, matcher, limit, context_width)
 
 
 def find_digit(stream: DigitStream, digit: int, limit: int,
@@ -143,52 +178,14 @@ def find_digit(stream: DigitStream, digit: int, limit: int,
 def find_first_chunked(constant: ConstantSpec, base: int, matcher: CompiledMatcher,
                        limit: int, chunk_size: int, block_size: int = 1024,
                        context_width: int = 12) -> SearchResult:
-    """Sequential scan partitioned into position ranges, each with its own
-    stream and overlapping the next by window length - 1. The minimum anchor
-    over the ranges equals the plain sequential result."""
-    length = matcher.length
-    if limit < length:
-        raise LimitTooSmall(f"limit {limit} < window length {length}")
+    """find_first over one stream, with the anchors searched in ranges of at
+    most `chunk_size`, each one regex search over a slice of the shared
+    buffer. The minimum anchor over the ranges equals the sequential result;
+    every digit is computed once."""
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    masks = matcher.masks
-    goal = 1 << (length - 1)
-    last_anchor = limit - length + 1
-
-    anchor = None
-    start = 1
-    while start <= last_anchor and anchor is None:
-        chunk_last = min(start + chunk_size - 1, last_anchor)
-        stop = chunk_last + length - 1
-        stream = open_stream(constant, base, block_size)
-        stream.skip(start - 1)
-        state = 0
-        pos = start - 1
-        while pos < stop and anchor is None:
-            for d in stream.next_block().digits:
-                pos += 1
-                state = ((state << 1) | 1) & masks[d]
-                if (state & goal) and pos - length + 1 >= start:
-                    anchor = pos - length + 1
-                    break
-                if pos >= stop:
-                    break
-        start = chunk_last + 1
-
-    if anchor is None:
-        return SearchResult(False, None, None, (), (), limit, limit, base)
-
-    # rebuild the window and context from a fresh stream over the hit range
-    ctx_start = max(1, anchor - context_width)
-    stream = open_stream(constant, base, block_size)
-    stream.skip(ctx_start - 1)
-    span = stream.take(anchor - ctx_start + length + context_width)
-    window = DigitBlock(base, anchor,
-                        span.digits[anchor - ctx_start:anchor - ctx_start + length])
-    before = span.digits[:anchor - ctx_start]
-    after = span.digits[anchor - ctx_start + length:]
-    return SearchResult(True, anchor, window, before, after,
-                        anchor + length - 1, limit, base)
+    return _scan(open_stream(constant, base, block_size), matcher, limit,
+                 context_width, chunk_size)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +265,7 @@ def result_record(result: SearchResult, *, constant_id: str, scheme: str | None,
         "P": sorted(circle_set) if circle_set is not None else None,
         "Q": sorted(background_set) if background_set is not None else None,
         "position": result.position,
-        "window": compact_digit_string(result.window.digits) if result.found else None,
+        "window": compact_digit_string(result.window.data) if result.found else None,
         "context_before": compact_digit_string(result.context_before),
         "context_after": compact_digit_string(result.context_after),
         "digits_examined": result.digits_examined,

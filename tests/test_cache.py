@@ -76,6 +76,12 @@ class TestEncodeDecode:
         with pytest.raises(CacheError):
             decode(bytes(body))
 
+    def test_encode_rejects_digit_out_of_base(self):
+        with pytest.raises(CacheError):
+            encode(2, "x", [1, 7])
+        with pytest.raises(CacheError):
+            encode(10, "pi", b"\x01\x0a")
+
     def test_reject_truncation(self):
         blob = sample_blob()
         with pytest.raises(CacheError):

@@ -100,6 +100,23 @@ class TestDigitBlock:
         with pytest.raises(ValueError):
             DigitBlock(10, 0, [1])
 
+    def test_rejects_out_of_range_digits(self):
+        for base in (2, 10, 255, 256):
+            for bad in (-1, 256, base):
+                with pytest.raises(InvalidDigit):
+                    DigitBlock(base, 1, [0, bad])
+            if base < 256:
+                with pytest.raises(InvalidDigit):
+                    DigitBlock(base, 1, bytes([0, base]))
+            assert DigitBlock(base, 1, bytes([0, base - 1])).digits == (0, base - 1)
+
+    def test_bytes_payload_and_int_coercion(self):
+        block = DigitBlock(16, 1, (1, 15, "7", 2.0))
+        assert block.data == b"\x01\x0f\x07\x02"
+        assert block.digits == (1, 15, 7, 2)
+        assert block == DigitBlock(16, 1, bytearray(b"\x01\x0f\x07\x02"))
+        assert DigitBlock(16, 1, iter([3, 4])).digits == (3, 4)
+
     def test_positions(self):
         block = DigitBlock(10, 5, [7, 8, 9])
         assert block.end_position == 7
@@ -188,6 +205,17 @@ class TestBaseConvert:
         block = base_convert(decimal_digits(PI, 30), 11, 6)
         assert block.digits == (1, 6, 1, 5, 0, 7)
 
+    def test_short_input_checks_every_continuation(self):
+        # 0.33 gives base-3 digit 0, but continuations past 1/3 give 1: with
+        # only need + guard digits the check must not repeat the first run
+        with pytest.raises(PrecisionExhausted):
+            base_convert([3, 3], 3, 1, guard=1)
+        assert base_convert([3, 3, 3], 3, 1, guard=1).digits == (0,)
+        need = 7  # ceil(6 * log10(11))
+        for supplied in range(need + DEFAULT_GUARD, need + 2 * DEFAULT_GUARD + 1):
+            block = base_convert(decimal_digits(PI, supplied), 11, 6)
+            assert block.digits == digits_in_base(PI, 11, 6).digits
+
     def test_truncated_seventh_to_base7(self):
         # the 40-digit decimal truncation of 1/7 represents a value slightly
         # below 1/7, so its base-7 expansion reads 0.0666...; the exact
@@ -247,6 +275,33 @@ class TestConcatConstants:
         # 0.123456789abcdef1011...
         block = concat_constant_digits(ConstantSpec.champernowne(16), 19)
         assert block.digits == tuple(range(1, 16)) + (1, 0, 1, 1)
+
+    def test_champernowne_against_numerals(self):
+        # every base across several numeral-width changes
+        for base in (2, 3, 7, 10, 16, 255, 256):
+            ref = []
+            n = 1
+            while len(ref) < 70000:
+                numeral = []
+                m = n
+                while m:
+                    m, d = divmod(m, base)
+                    numeral.append(d)
+                ref.extend(reversed(numeral))
+                n += 1
+            got = concat_constant_digits(ConstantSpec.champernowne(base), 70000)
+            assert got.digits == tuple(ref[:70000])
+
+    def test_fibonacci_concat_large_numbers(self):
+        # from 12000 bits on, numbers are converted without str(), which
+        # refuses ints past 4300 decimal digits
+        from sagan.digits import _concat_chunks
+        chunks = _concat_chunks(ConstantSpec.fibonacci_concat())
+        for n, f in zip(range(17400), fibonacci_numbers()):
+            chunk = next(chunks)
+            if n % 97 == 0 or n > 17200:
+                assert chunk[0] != 0 or f == 0
+                assert digits_to_int(chunk, 10) == f
 
     def test_champernowne_foreign_base(self):
         # binary champernowne in base 10 must match its converted value
@@ -318,6 +373,30 @@ class TestStreams:
             block = stream.next_block()
             assert block.start_position == expected_start
             expected_start = block.end_position + 1
+
+    def test_reads_match_one_block(self):
+        # take, skip, reserve and next_block in any order read the same
+        # digits as one block, for generated (native base) and recomputed
+        # streams
+        rng = random.Random(7)
+        for spec, base in ((ConstantSpec.champernowne(10), 10), (PI, 10),
+                           (ConstantSpec.copeland_erdos(), 10),
+                           (ConstantSpec.champernowne(3), 3),
+                           (ConstantSpec.rational(22, 7), 256)):
+            whole = digits_in_base(spec, base, 30000).digits
+            stream = open_stream(spec, base, rng.randint(1, 300))
+            while stream.cursor < 25000:
+                start = stream.cursor
+                step = rng.choice(("next", "take", "skip", "reserve"))
+                if step == "skip":
+                    stream.skip(rng.randint(0, 3000))
+                    continue
+                if step == "reserve":  # reads may still go past it
+                    stream.reserve(rng.randint(0, 3000))
+                    continue
+                block = stream.next_block() if step == "next" else stream.take(rng.randint(0, 500))
+                assert block.start_position == start
+                assert block.digits == whole[start - 1:start - 1 + len(block)]
 
     def test_determinism_across_streams(self):
         for spec in (PI, ConstantSpec.champernowne(10), ConstantSpec.fibonacci_cfrac()):

@@ -4,6 +4,7 @@ in high-precision mpmath arithmetic."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -93,6 +94,20 @@ class TestKGramCounts:
             digits = DigitBlock(base, 1, [rng.randrange(base) for _ in range(length)])
             counts = kgram_counts(digits, k)
             assert sum(counts.counts.values()) == length - k + 1
+
+    def test_matches_counter_reference(self):
+        # both table sizes: fewer cells than windows, and more
+        rng = random.Random(17)
+        for base, k, length in ((2, 1, 50), (2, 3, 5000), (10, 1, 20000), (10, 2, 20000),
+                                (10, 3, 500), (16, 2, 300), (256, 1, 20000),
+                                (256, 2, 1000), (256, 3, 2000), (7, 8, 100)):
+            values = [rng.randrange(base) for _ in range(length)]
+            if rng.random() < 0.5:
+                values[:length // 2] = [base - 1] * (length // 2)
+            got = kgram_counts(DigitBlock(base, 1, values), k)
+            reference = Counter(zip(*(values[i:] for i in range(k))))
+            assert got.counts == dict(reference)
+            assert all(type(d) is int for gram in got.counts for d in gram)
 
     def test_guards(self):
         with pytest.raises(KTooLarge):

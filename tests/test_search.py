@@ -3,6 +3,7 @@ window-by-window scan implemented here; the streaming matcher must agree."""
 
 import random
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -10,10 +11,11 @@ import pytest
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
 
-from sagan.digits import ConstantSpec, digits_in_base, open_stream
+from sagan.digits import ConstantSpec, DigitBlock, digits_in_base, open_stream
 from sagan.errors import BaseMismatch, BaseTooSmall, DigitOutOfRange, LimitTooSmall
 from sagan.raster import GeneralizedPattern, rasterize, rasterize_center, rasterize_naive
 from sagan.search import (
+    CompiledMatcher,
     class_frequency_gain,
     compact_digit_string,
     compile,
@@ -118,6 +120,22 @@ class TestFindFirst:
         assert hit.found and hit.position == 1 and hit.digits_examined == 4
 
 
+    def test_refills_stop_at_the_limit(self, monkeypatch):
+        import sagan.digits as digits_mod
+        computed = []
+        real = digits_mod.digits_in_base
+
+        def recording(constant, base, count, *args):
+            computed.append(count)
+            return real(constant, base, count, *args)
+
+        monkeypatch.setattr(digits_mod, "digits_in_base", recording)
+        result = find_first(open_stream(PI, 10, 1000), compile(rasterize_center(3), 10), 5000)
+        assert not result.found and result.digits_examined == 5000
+        # geometric growth, capped at the block holding limit + context
+        assert computed == [4000, 6000]
+
+
 class TestFindDigit:
     def test_first_zero_of_pi(self):
         result = find_digit(open_stream(PI, 10, 64), 0, 100)
@@ -172,6 +190,109 @@ class TestOracleEquivalence:
         assert naive_scan(digits, matcher, result.position + 3) == result.position
         for anchor in range(1, result.position):
             assert not matcher.admits(digits[anchor - 1:anchor + 3])
+
+
+class BytesStream:
+    """A stream stand-in over fixed digits: `base` and `next_block`, padded
+    with zeros past the end."""
+
+    def __init__(self, base, digits, block_size):
+        self.base, self.data, self.block_size = base, bytes(digits), block_size
+        self.cursor = 1
+
+    def reserve(self, count):
+        pass
+
+    def next_block(self):
+        start = self.cursor
+        self.cursor += self.block_size
+        chunk = self.data[start - 1:start - 1 + self.block_size]
+        return DigitBlock(self.base, start, chunk.ljust(self.block_size, b"\0"))
+
+
+# bytes with a meaning inside a regex class: "-", "\\", "]", "^"
+SPECIAL = (0, 45, 92, 93, 94, 255)
+
+
+class TestScanOracle:
+    def random_sets(self, rng):
+        alphabet = SPECIAL + tuple(rng.sample(range(1, 255), 4))
+        def pick():
+            return frozenset(rng.sample(alphabet, rng.randint(1, 5)))
+        return alphabet, pick
+
+    def check(self, digits, matcher, limit, got, width=12):
+        """`got` against naive_scan; `digits` runs past `limit` by `width`
+        or ends where the stream starts reading zeros."""
+        expected = naive_scan(digits, matcher, limit)
+        assert got.position == expected
+        if expected is None:
+            assert not got.found and got.digits_examined == limit
+            return
+        end = expected + matcher.length - 1
+        assert matcher.admits(got.window.digits)
+        assert got.window.digits == tuple(digits[expected - 1:end])
+        assert got.context_before == tuple(digits[max(0, expected - 1 - width):expected - 1])
+        padded = list(digits) + [0] * width  # the stream reads zeros past the end
+        assert got.context_after == tuple(padded[end:end + width])
+        assert got.digits_examined == end
+
+    def test_random_classes_base256(self):
+        rng = random.Random(256)
+        for trial in range(300):
+            alphabet, pick = self.random_sets(rng)
+            if trial % 2:
+                p, q = pick(), pick()  # overlapping or not, at random
+                shape = rasterize(rng.randint(1, 4), rng.choice(("naive", "center")))
+                matcher = compile(GeneralizedPattern(shape, p, q), 256)
+            else:
+                matcher = CompiledMatcher(256, [pick() for _ in range(rng.randint(1, 12))])
+            size = rng.randint(matcher.length, 3000)
+            digits = [rng.choice(alphabet) for _ in range(size)]
+            limit = rng.randint(matcher.length, size)
+            block = rng.choice((1, 2, 3, matcher.length, 64, 4096))
+            got = find_first(BytesStream(256, digits, block), matcher, limit)
+            self.check(digits, matcher, limit, got)
+
+    def test_planted_window_found_at_its_anchor(self):
+        rng = random.Random(94)
+        for _ in range(100):
+            alphabet, pick = self.random_sets(rng)
+            sets = [pick() for _ in range(rng.randint(1, 40))]
+            matcher = CompiledMatcher(256, sets)
+            digits = [rng.choice(alphabet) for _ in range(rng.randint(0, 500))]
+            anchor = len(digits) + 1
+            digits += [rng.choice(sorted(s)) for s in sets]
+            digits += [rng.choice(alphabet) for _ in range(rng.randint(0, 20))]
+            width = rng.randint(0, 30)
+            got = find_first(BytesStream(256, digits, rng.randint(1, 50)),
+                             matcher, len(digits), width)
+            assert got.found and got.position <= anchor
+            self.check(digits, matcher, len(digits), got, width)
+
+    def test_chunked_base256_specials(self):
+        rng = random.Random(45)
+        for _ in range(30):
+            spec = ConstantSpec.rational(rng.randint(1, 10 ** 5), 10 ** 5 + rng.randint(1, 999))
+            big = frozenset(rng.sample(range(256), 200)) | {45, 92, 93, 94}
+            matcher = compile(GeneralizedPattern(rasterize_naive(rng.randint(1, 2)), big,
+                                                 frozenset(SPECIAL) | big), 256)
+            limit = rng.randint(matcher.length, 3000)
+            digits = digits_in_base(spec, 256, limit + 12).digits
+            chunked = find_first_chunked(spec, 256, matcher, limit, rng.randint(1, 50),
+                                         block_size=rng.randint(1, 9))
+            self.check(digits, matcher, limit, chunked)
+
+
+class TestLargeMatcher:
+    def test_n1024_compiles_and_scans_quickly(self):
+        start = time.perf_counter()
+        shape = rasterize_center(1024)
+        matcher = compile(shape, 10)
+        digits = bytes(5000) + bytes(shape.bits) + bytes(100)
+        result = find_first(BytesStream(10, digits, 1 << 16), matcher, len(digits))
+        assert result.position == 5001
+        assert time.perf_counter() - start < 10.0
 
 
 class TestChunkedEquivalence:
