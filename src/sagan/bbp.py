@@ -9,7 +9,10 @@ also accepts arbitrary small-degree polynomial p, q via PolySeries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _arith
 from ._arith import mpz
@@ -136,6 +139,53 @@ def evaluate(formula, digit_count: int, guard: int = 12) -> DigitBlock:
 # arbitrary-position extraction
 
 _GUARD_BITS = (64, 128, 256)
+_CHUNK = 1 << 12  # head indices per numpy pass
+_LIMB = 32        # bits per long-division step
+
+
+def _head_sum(formula: BBPFormula, top: int, width: int, start: int, stop: int) -> int:
+    """Exact sum over k in [start, stop) and the terms (c, j) of
+    trunc(c * (base**(top-k) mod q) * 2**width / q), q = modulus*k + j,
+    with _CHUNK values of k per numpy pass. int64 is exact while q < 2**31:
+    residues and remainders stay below q, products of two below 2**62 and
+    remainders shifted by _LIMB = 32 bits below 2**63; |c| * q < 2**63 is
+    checked, and a row sums at most q values below 2**32 or below |c|.
+    Other chunks run the same code on Python ints (dtype=object)."""
+    base, m = formula.base, formula.modulus
+    coeffs, offsets = zip(*formula.terms)
+    signs = [1 if c >= 0 else -1 for c in coeffs]
+    cmax, jmax = max(map(abs, coeffs)), max(offsets)
+    steps = [_LIMB] * (width // _LIMB) + [width % _LIMB] * (width % _LIMB > 0)
+    total = 0
+    for lo in range(start, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        qmax = m * (hi - 1) + jmax
+        dtype = np.int64 if max(qmax, base) < 2**31 and cmax * qmax < 2**63 else object
+        k = np.arange(lo, hi, dtype=np.int64)
+        q = m * k.astype(dtype) + np.array(offsets, dtype=dtype)[:, None]
+        # base**(top-k) mod q, bits high to low; the bits above `vary` are
+        # the same for every k in the chunk and need no per-element select
+        emax, e = top - lo, top - k
+        vary = (emax ^ (top - hi + 1)).bit_length()
+        b, r = base % q, 1 % q
+        for bit in reversed(range(emax.bit_length())):
+            r = r * r % q
+            if bit >= vary:
+                if emax >> bit & 1:
+                    r = r * b % q
+            else:
+                r = np.where(e >> bit & 1, r * b % q, r)
+        # floor(|c| * r * 2**width / q): the whole part, then long division;
+        # each term's sign goes on after its floor, which truncates toward 0
+        num = np.array([abs(c) for c in coeffs], dtype=dtype)[:, None] * r
+        acc = 0
+        for step in [0, *steps]:
+            num <<= step
+            digit = num // q  # numpy has no divmod loop for dtype=object
+            num -= digit * q
+            acc = (acc << step) + sum(map(operator.mul, signs, digit.sum(axis=1).tolist()))
+        total += acc
+    return total
 
 
 def _extract_attempt(formula: BBPFormula, position: int, count: int, guard_bits: int):
@@ -148,18 +198,12 @@ def _extract_attempt(formula: BBPFormula, position: int, count: int, guard_bits:
     top = position - 1 - formula.shift
     coeff_sum = sum(abs(c) for c, _ in formula.terms)
 
-    acc = 0
-    divisions = 0
     # head: integer parts drop out modulo 1 via modular exponentiation
-    for k in range(0, max(0, top + 1)):
-        e = top - k
-        for c, j in formula.terms:
-            q = m * k + j
-            r = pow(base, e, q)
-            acc = (acc + _signed_floor((c * r) << width, q)) % mod
-            divisions += 1
+    head = max(0, top + 1)
+    acc = _head_sum(formula, top, width, 0, head) % mod
+    divisions = head * len(formula.terms)
     # tail: terms with negative exponent until they underflow the register
-    k = max(0, top + 1)
+    k = head
     while True:
         e = top - k
         scale = mpz(base) ** (-e)
@@ -185,21 +229,22 @@ def _extract_attempt(formula: BBPFormula, position: int, count: int, guard_bits:
 def digit_extract(formula: BBPFormula, position: int, count: int) -> DigitBlock:
     """Digits at `position`..`position+count-1` without earlier digits.
 
-    count is capped at 8 per call; longer windows go through extract_digits.
+    count is capped at 8 per call; extract_digits takes any width.
     Retries at 128 and 256 guard bits before raising CarryAmbiguity.
     """
-    block, _ = digit_extract_info(formula, position, count)
-    return block
+    if not 1 <= count <= 8:
+        raise ValueError("count must be in 1..8")
+    return digit_extract_info(formula, position, count)[0]
 
 
 def digit_extract_info(formula: BBPFormula, position: int, count: int):
-    """digit_extract plus the guard level that certified the window."""
+    """The window of any width >= 1 at `position`, and its guard bits."""
     if not isinstance(formula, BBPFormula):
         raise TypeError("digit extraction requires the linear-term form")
     if position < 1:
         raise ValueError("position is 1-indexed")
-    if not 1 <= count <= 8:
-        raise ValueError("count must be in 1..8")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     for guard_bits in _GUARD_BITS:
         digits = _extract_attempt(formula, position, count, guard_bits)
         if digits is not None:
@@ -210,21 +255,5 @@ def digit_extract_info(formula: BBPFormula, position: int, count: int):
 
 
 def extract_digits(formula: BBPFormula, position: int, count: int) -> DigitBlock:
-    """Assemble window of any length from overlapping 8-digit extractions,
-    checking that each overlap agrees."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    digits: list[int] = []
-    pos = position
-    overlap = 2
-    while len(digits) < count:
-        chunk = digit_extract(formula, pos, min(8, count - len(digits) + (overlap if digits else 0)))
-        got = list(chunk.data)
-        if digits:
-            if digits[-overlap:] != got[:overlap]:
-                raise CarryAmbiguity(
-                    f"overlapping extractions disagree at position {pos}")
-            got = got[overlap:]
-        digits.extend(got)
-        pos = position + len(digits) - overlap
-    return DigitBlock(formula.base, position, digits[:count])
+    """Window of any length from one extraction."""
+    return digit_extract_info(formula, position, count)[0]

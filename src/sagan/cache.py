@@ -62,7 +62,10 @@ def decode(blob: bytes) -> tuple[int, str, list[int]]:
     (crc,) = struct.unpack_from("<I", blob, pos + count)
     if zlib.crc32(blob[:pos + count]) != crc:
         raise CacheError("CRC mismatch")
-    identifier = blob[8:8 + ident_len].decode("utf-8")  # only once the CRC holds
+    try:  # only once the CRC holds
+        identifier = blob[8:8 + ident_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"identifier is not UTF-8: {exc}") from exc
     payload = blob[pos:pos + count]
     if payload and max(payload) >= base:
         raise CacheError(f"digit {max(payload)} >= base {base}")

@@ -249,13 +249,8 @@ def cmd_bbp(args) -> int:
     if args.position < 1 or args.count < 1:
         print("position and count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.count <= 8:
-        block, guard = bbp_mod.digit_extract_info(formula, args.position, args.count)
-    else:
-        block = bbp_mod.extract_digits(formula, args.position, args.count)
-        guard = None
-    suffix = f" (guard bits: {guard})" if guard is not None else " (assembled from 8-digit windows)"
-    print(digit_glyphs(block.data) + suffix)
+    block, guard = bbp_mod.digit_extract_info(formula, args.position, args.count)
+    print(f"{digit_glyphs(block.data)} (guard bits: {guard})")
     return EXIT_OK
 
 

@@ -2,14 +2,19 @@
 full-precision pipeline (different algorithm, different code path)."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from sagan import bbp
 from sagan.bbp import (
     BBPFormula,
     PolySeries,
     _evaluate_scaled,
+    _extract_attempt,
+    _head_sum,
+    _signed_floor,
     digit_extract,
     digit_extract_info,
     evaluate,
@@ -147,3 +152,87 @@ class TestExtractDigits:
     def test_short_window_passthrough(self):
         assert extract_digits(pi_formula(), 9, 4).digits == \
             digit_extract(pi_formula(), 9, 4).digits
+
+
+def scalar_head_sum(formula, top, width, start, stop):
+    """The head sum one term at a time, with Python's pow."""
+    return sum(_signed_floor((c * pow(formula.base, top - k, formula.modulus * k + j)) << width,
+                             formula.modulus * k + j)
+               for k in range(start, stop) for c, j in formula.terms)
+
+
+# large and negative coefficients; 2**40 * q stays in int64 below k ~ 2**20
+USER = BBPFormula(10, 7, ((2 ** 40, 1), (-(3 ** 20), 3), (-5, 7), (12345, 4)))
+CHUNK = bbp._CHUNK
+
+
+class TestHeadSum:
+    @pytest.mark.parametrize("formula", [pi_formula(), log2_formula(), USER],
+                             ids=["pi", "log2", "user"])
+    @pytest.mark.parametrize("width", [8, 72, 96, 4064])
+    def test_equals_scalar_reference(self, formula, width):
+        # ranges that end on, just before and just past the chunk edges
+        top = 2 * CHUNK + 50
+        for start, stop in [(0, 1), (0, CHUNK), (0, CHUNK + 1), (3, 2 * CHUNK + 2),
+                            (CHUNK - 1, CHUNK + 1), (top - 5, top + 1)]:
+            assert _head_sum(formula, top, width, start, stop) == \
+                scalar_head_sum(formula, top, width, start, stop), (start, stop)
+
+    @pytest.mark.parametrize("formula", [pi_formula(), USER], ids=["pi", "user"])
+    def test_moduli_past_int64_range(self, formula):
+        # pi: the first chunk has every q = m*k + j below 2**31 and runs in
+        # int64, the second starts where q passes 2**31 and runs on Python
+        # ints; the user formula's |c| * q passes 2**63 in both chunks
+        first = (2 ** 31 - max(j for _, j in formula.terms)) // formula.modulus - CHUNK
+        top = first + CHUNK + 40
+        for width in (72, 96):
+            assert _head_sum(formula, top, width, first, top + 1) == \
+                scalar_head_sum(formula, top, width, first, top + 1)
+
+    def test_empty_range(self):
+        assert _head_sum(pi_formula(), 10, 96, 5, 5) == 0
+
+
+class TestWideWindows:
+    @pytest.mark.parametrize("count", [9, 64, 1000])
+    def test_pi_against_native_pipeline(self, count):
+        native = digits_in_base(PI, 16, 1300 + count).digits
+        for p in (1, 1300):
+            block, guard = digit_extract_info(pi_formula(), p, count)
+            assert block.digits == native[p - 1:p - 1 + count] and guard in (64, 128, 256)
+            assert extract_digits(pi_formula(), p, count).digits == block.digits
+
+    @pytest.mark.parametrize("count", [9, 64, 1000])
+    def test_log2_against_native_pipeline(self, count):
+        native = digits_in_base(LOG2, 2, 500 + count).digits
+        for p in (1, 500):
+            block, _ = digit_extract_info(log2_formula(), p, count)
+            assert block.digits == native[p - 1:p - 1 + count]
+            assert extract_digits(log2_formula(), p, count).digits == block.digits
+
+    def test_position_100000(self):
+        block, _ = digit_extract_info(pi_formula(), 100000, 8)
+        assert "".join(f"{d:x}" for d in block.digits) == "535ea16c"
+
+    def test_position_one_million_in_time(self):
+        start = time.perf_counter()
+        block, _ = digit_extract_info(pi_formula(), 10 ** 6, 8)
+        assert time.perf_counter() - start < 20
+        assert "".join(f"{d:x}" for d in block.digits) == "26c65e52"
+
+    def test_count_validation(self):
+        with pytest.raises(ValueError):
+            digit_extract_info(pi_formula(), 1, 0)
+        with pytest.raises(ValueError):
+            extract_digits(pi_formula(), 1, 0)
+
+    @pytest.mark.parametrize("formula", [pi_formula(), log2_formula()], ids=["pi", "log2"])
+    def test_carry_rejections_match_scalar_head(self, formula, monkeypatch):
+        # 20 guard bits leave the margin test err * 256 / 2**20 large enough
+        # that many of these positions are rejected (None)
+        positions = range(1, 400)
+        fast = [_extract_attempt(formula, p, 4, 20) for p in positions]
+        monkeypatch.setattr(bbp, "_head_sum", scalar_head_sum)
+        scalar = [_extract_attempt(formula, p, 4, 20) for p in positions]
+        assert fast == scalar
+        assert None in fast and any(w is not None for w in fast)

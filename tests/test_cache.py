@@ -62,6 +62,13 @@ class TestEncodeDecode:
         with pytest.raises(CacheError):
             decode(bytes(blob))
 
+    def test_reject_invalid_identifier_bytes_with_valid_crc(self):
+        blob = bytearray(sample_blob())
+        blob[8] = 0xFF  # not valid UTF-8; the CRC is recomputed to match
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        with pytest.raises(CacheError, match="UTF-8"):
+            decode(bytes(blob))
+
     def test_reject_digit_out_of_base(self):
         # craft a CRC-valid file whose digit exceeds the base
         body = bytearray()

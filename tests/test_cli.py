@@ -2,11 +2,14 @@
 the JSON render -> parse -> render fixed point."""
 
 import json
+import struct
+import zlib
 
 import pytest
 
 from sagan.cache import cache_path, read_cache
 from sagan.cli import EXIT_AMBIGUITY, EXIT_CACHE, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, digit_glyphs, main
+from sagan.digits import ConstantSpec, digits_in_base
 
 
 def run(capsys, *argv):
@@ -68,6 +71,18 @@ class TestCacheFlow:
         code, _, err = run(capsys, "digits", "--constant", "pi", "--count", "8",
                            "--cache", "--cache-dir", str(tmp_path))
         assert code == EXIT_CACHE and "CRC" in err
+
+    def test_invalid_identifier_bytes_exit_three(self, capsys, tmp_path):
+        run(capsys, "digits", "--constant", "pi", "--count", "8",
+            "--cache", "--cache-dir", str(tmp_path))
+        path = cache_path(tmp_path, "pi", 10)
+        blob = bytearray(path.read_bytes())
+        blob[8] = 0xFF  # first identifier byte, CRC recomputed to match
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        code, _, err = run(capsys, "digits", "--constant", "pi", "--count", "8",
+                           "--cache", "--cache-dir", str(tmp_path))
+        assert code == EXIT_CACHE and "UTF-8" in err
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SAGAN_CACHE_DIR", str(tmp_path))
@@ -163,6 +178,12 @@ class TestBbpCommand:
     def test_long_window_assembled(self, capsys):
         code, out, _ = run(capsys, "bbp", "--position", "1", "--count", "12")
         assert code == EXIT_OK and out.startswith("243f6a8885a3")
+
+    def test_wide_window_one_extraction(self, capsys):
+        code, out, _ = run(capsys, "bbp", "--position", "3", "--count", "40")
+        native = digit_glyphs(digits_in_base(ConstantSpec.pi(), 16, 42).data)
+        assert code == EXIT_OK
+        assert out == f"{native[2:]} (guard bits: 64)\n"
 
     def test_base_mismatch(self, capsys):
         code, _, err = run(capsys, "bbp", "--position", "1", "--count", "4",
