@@ -1,9 +1,9 @@
 """BBP-type series: evaluation and arbitrary-position digit extraction.
 
-A formula denotes  value = base**(-shift) * sum_{k>=0} base**(-k) * p(k)/q(k).
-The shipped constants use the linear-term shape sum_j c_j / (m*k + j), which
-is what makes modular-exponentiation digit extraction possible; `evaluate`
-also accepts arbitrary small-degree polynomial p, q via PolySeries.
+A formula denotes  value = base**(-shift) * sum_{k>=0} base**(-k) * p(k)/q(k)
+with the linear-term shape p(k)/q(k) = sum_j c_j / (m*k + j), which is what
+makes modular-exponentiation digit extraction possible (Bailey, Borwein &
+Plouffe 1997).
 """
 
 from __future__ import annotations
@@ -46,17 +46,6 @@ class BBPFormula:
             raise ValueError("offsets must lie in 1..modulus")
 
 
-@dataclass(frozen=True)
-class PolySeries:
-    """General series with polynomial p and q, evaluate-only."""
-
-    base: int
-    p: tuple
-    q: tuple
-    shift: int = 0
-    description: str = ""
-
-
 def pi_formula() -> BBPFormula:
     """Base-16 series for pi: 4/(8k+1) - 2/(8k+4) - 1/(8k+5) - 1/(8k+6)."""
     return BBPFormula(16, 8, ((4, 1), (-2, 4), (-1, 5), (-1, 6)),
@@ -68,13 +57,6 @@ def log2_formula() -> BBPFormula:
     return BBPFormula(2, 1, ((1, 1),), shift=1, description="log 2 in base 2")
 
 
-def _poly(coeffs, k: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * k + c
-    return acc
-
-
 def _signed_floor(num, den):
     """num/den truncated toward zero: |result - num/den| < 1 for den > 0."""
     if num < 0:
@@ -82,39 +64,20 @@ def _signed_floor(num, den):
     return num // den
 
 
-def _term(formula, k):
+def _term(formula: BBPFormula, k):
     """(a, b) with b > 0 and a/b = p(k)/q(k), the k-th term without base**-k."""
-    if isinstance(formula, BBPFormula):
-        dens = [formula.modulus * k + j for _, j in formula.terms]
-        b = math.prod(dens)
-        return sum(c * (b // d) for (c, _), d in zip(formula.terms, dens)), b
-    num = _poly(formula.p, k)
-    den = _poly(formula.q, k)
-    if den == 0:
-        raise ZeroDivisionError(f"q({k}) = 0")
-    if den < 0:
-        num, den = -num, -den
-    return num, den
+    dens = [formula.modulus * k + j for _, j in formula.terms]
+    b = math.prod(dens)
+    return sum(c * (b // d) for (c, _), d in zip(formula.terms, dens)), b
 
 
-def _abs_coeff_sum(formula) -> int:
-    if isinstance(formula, BBPFormula):
-        return sum(abs(c) for c, _ in formula.terms)
-    # crude magnitude bound for |p(k)/q(k)|, adequate for sane series
-    bound = 1
-    for k in range(0, 65):
-        num, den = _term(formula, k)
-        bound = max(bound, abs(num) // den + 1)
-    return 2 * bound
-
-
-def _evaluate_scaled(formula, prec: int):
+def _evaluate_scaled(formula: BBPFormula, prec: int):
     """X with |X - value * base**prec| <= returned error bound."""
     base = formula.base
     top = prec - formula.shift
     if top < 0:
         raise ValueError("precision smaller than formula shift")
-    coeff_sum = _abs_coeff_sum(formula)
+    coeff_sum = sum(abs(c) for c, _ in formula.terms)  # |c_j / (m*k + j)| <= |c_j|
     # with |p/q| <= C = coeff_sum, the scaled tail past term top + extra is
     # at most C * base**-extra * base/(base-1) <= 2C * base**-extra < 1
     extra = 1
@@ -125,7 +88,7 @@ def _evaluate_scaled(formula, prec: int):
     return _arith.divmod(mpz(base) ** top * t, b * q)[0], _SERIES_ERR
 
 
-def evaluate(formula, digit_count: int, guard: int = 12) -> DigitBlock:
+def evaluate(formula: BBPFormula, digit_count: int, guard: int = 12) -> DigitBlock:
     """Leading fractional digits of the series value, guard-band certified."""
     if digit_count < 1:
         raise ValueError("digit_count must be >= 1")

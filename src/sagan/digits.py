@@ -212,23 +212,26 @@ def _digit_bytes(digits, base: int) -> bytes:
 # ---------------------------------------------------------------------------
 # integer <-> digit vector conversion (divide and conquer)
 
+def _powers(base: int):
+    """power(e) = base**e, by squaring, memoized in one table per call."""
+    table = {0: mpz(1), 1: mpz(base)}
+
+    def power(e: int):
+        v = table.get(e)
+        if v is None:
+            half = power(e // 2)
+            v = table[e] = half * half * (base if e % 2 else 1)
+        return v
+
+    return power
+
+
 def digits_to_int(digits: Sequence[int], base: int):
     """Value of a most-significant-first digit vector as an integer."""
     n = len(digits)
     if n == 0:
         return mpz(0)
-    powers: dict[int, object] = {}
-
-    def power(e: int):
-        v = powers.get(e)
-        if v is None:
-            half = power(e // 2)
-            v = half * half * (base if e % 2 else 1)
-            powers[e] = v
-        return v
-
-    powers[0] = mpz(1)
-    powers[1] = mpz(base)
+    power = _powers(base)
 
     def build(lo: int, hi: int):
         if hi - lo <= 64:
@@ -249,16 +252,7 @@ def int_to_digits(value, base: int, count: int) -> list[int]:
     """
     if value < 0:
         raise ValueError("value must be non-negative")
-    powers: dict[int, object] = {1: mpz(base)}
-
-    def power(e: int):
-        v = powers.get(e)
-        if v is None:
-            half = power(e // 2)
-            v = half * half * (base if e % 2 else 1)
-            powers[e] = v
-        return v
-
+    power = _powers(base)
     out: list[int] = []
 
     def emit(v, n: int):
@@ -352,28 +346,6 @@ def _log2_scaled(base: int, prec: int):
 
 _SCALED_FNS = {PI: _pi_scaled, SQRT2: _sqrt2_scaled, E: _e_scaled, LOG2: _log2_scaled}
 
-# largest scaled fraction computed so far, (prec, X, err), for each of the
-# _SCALED_CACHE_SIZE most recently used (kind, base) pairs, oldest first
-_SCALED_CACHE_SIZE = 4
-_scaled_cache: dict[tuple[str, int], tuple[int, object, int]] = {}
-
-
-def _scaled_frac(kind: str, base: int, prec: int):
-    key = (kind, base)
-    cached = _scaled_cache.pop(key, None)
-    if cached is not None and cached[0] >= prec:
-        _scaled_cache[key] = cached
-        cprec, x, err = cached
-        if cprec == prec:
-            return x, err
-        shift = mpz(base) ** (cprec - prec)
-        return _arith.divmod(x, shift)[0], err // shift + 2
-    x, err = _SCALED_FNS[kind](base, prec)
-    _scaled_cache[key] = (prec, x, err)
-    if len(_scaled_cache) > _SCALED_CACHE_SIZE:
-        del _scaled_cache[next(iter(_scaled_cache))]
-    return x, err
-
 
 def _certify(scaled, base: int, count: int, guard: int, what: str) -> list[int]:
     """The `count` fractional digits of X // base**g, X, err = scaled(count + g),
@@ -393,18 +365,6 @@ def _certify(scaled, base: int, count: int, guard: int, what: str) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # exact digit sources
-
-def _rational_frac_digits(p: int, q: int, base: int, start: int, count: int) -> list[int]:
-    """Long-division digits of frac(|p/q|) from `start`, exact."""
-    r = abs(p) % q
-    r = (r * pow(base, start - 1, q)) % q
-    out = []
-    for _ in range(count):
-        r *= base
-        d, r = divmod(r, q)
-        out.append(int(d))
-    return out
-
 
 def primes() -> Iterator[int]:
     """Unbounded incremental sieve."""
@@ -431,7 +391,7 @@ def fibonacci_numbers() -> Iterator[int]:
         a, b = b, a + b
 
 
-_CHUNK = 4096  # numbers per chunk of a concatenation constant
+_CHUNK = 4096  # numbers per chunk of a concatenation constant, digits per rational chunk
 _ASCII_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
@@ -475,15 +435,42 @@ def _concat_chunks(spec: ConstantSpec) -> Iterator[bytes]:
         raise UnsupportedConstant(f"{spec.kind} is not a concatenation constant")
 
 
+def _rational_chunks(p: int, q: int, base: int) -> Iterator[bytes]:
+    """Long-division digits of frac(|p/q|), _CHUNK at a time; the remainder
+    carries over from one chunk to the next."""
+    r = abs(p) % q
+    while True:
+        chunk = bytearray()
+        for _ in range(_CHUNK):
+            r *= base
+            d, r = divmod(r, q)
+            chunk.append(d)
+        yield bytes(chunk)
+
+
+def _exact_chunks(spec: ConstantSpec, base: int) -> Iterator[bytes] | None:
+    """The digits of `spec` in `base` generated exactly, in chunks, or None
+    when they can only be certified from a scaled value."""
+    if spec.kind == RATIONAL:
+        return _rational_chunks(spec.p, spec.q, base)
+    if base == spec.native_base():
+        return _concat_chunks(spec)
+    return None
+
+
+def _take(chunks: Iterator[bytes], count: int) -> bytes:
+    """The first `count` digits of a chunk iterator."""
+    data = bytearray()
+    while len(data) < count:
+        data += next(chunks)
+    return bytes(data[:count])
+
+
 def concat_constant_digits(spec: ConstantSpec, count: int) -> DigitBlock:
     """First `count` digits of a concatenation constant in its native base."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    data = bytearray()
-    chunks = _concat_chunks(spec)
-    while len(data) < count:
-        data += next(chunks)
-    return DigitBlock(spec.native_base(), 1, data[:count])
+    return DigitBlock(spec.native_base(), 1, _take(_concat_chunks(spec), count))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +517,7 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
         raise PrecisionExhausted("convergents did not certify the digits")
     # exact rational endpoint
     num = p_cur - a0 * q_cur
-    return DigitBlock(base, 1, _rational_frac_digits(int(num), int(q_cur), base, 1, count))
+    return DigitBlock(base, 1, _take(_rational_chunks(int(num), int(q_cur), base), count))
 
 
 # ---------------------------------------------------------------------------
@@ -596,23 +583,23 @@ def base_convert(decimal_fraction, target_base: int, out_count: int,
     return DigitBlock(target_base, 1, first)
 
 
-def _convert_from_native(spec: ConstantSpec, base: int, count: int) -> list[int]:
-    """Convert a concatenation constant to a foreign base with an exact
-    truncation-interval certificate (the native source is unbounded)."""
-    src_base = spec.native_base()
-    need = _ceil_digits_needed(count, base, src_base) + 8
-    for _ in range(5):
-        src = concat_constant_digits(spec, need).data
-        x = digits_to_int(src, src_base)
-        denom = mpz(src_base) ** need
-        numer = mpz(base) ** count
-        lo = _arith.divmod(x * numer, denom)[0]
-        hi = _arith.divmod((x + 1) * numer, denom)[0]
-        if lo == hi:
-            return int_to_digits(lo, base, count)
-        need *= 2
-    raise PrecisionExhausted(
-        f"conversion of {spec.identifier()} to base {base} did not stabilize")
+def _concat_scaled(spec: ConstantSpec, base: int):
+    """scaled(prec) for a concatenation constant in a foreign base.
+
+    With the first `need` native digits read as the integer x, where
+    src**need >= base**prec, the constant lies in [x, x+1] / src**need, so
+    V = value * base**prec lies in [x*B/S, (x+1)*B/S] with B = base**prec and
+    S = src**need. X = floor(x*B/S) is at most x*B/S, and more than
+    x*B/S - 1, so 0 <= V - X < 1 + B/S <= 2: err = 2.
+    """
+    src = spec.native_base()
+
+    def scaled(prec: int):
+        need = _ceil_digits_needed(prec, base, src)
+        x = digits_to_int(concat_constant_digits(spec, need).data, src)
+        return _arith.divmod(x * mpz(base) ** prec, mpz(src) ** need)[0], 2
+
+    return scaled
 
 
 # ---------------------------------------------------------------------------
@@ -629,20 +616,18 @@ def digits_in_base(constant: ConstantSpec, base: int, count: int,
     _check_base(base)
     if count < 1:
         raise ValueError("count must be >= 1")
+    chunks = _exact_chunks(constant, base)
+    if chunks is not None:
+        return DigitBlock(base, 1, _take(chunks, count))
     kind = constant.kind
-    if kind == RATIONAL:
-        digits = _rational_frac_digits(constant.p, constant.q, base, 1, count)
-    elif kind in (CHAMPERNOWNE, COPELAND_ERDOS, FIBONACCI_CONCAT):
-        if base == constant.native_base():
-            return concat_constant_digits(constant, count)
-        digits = _convert_from_native(constant, base, count)
-    elif kind == FIBONACCI_CFRAC:
+    if kind == FIBONACCI_CFRAC:
         return cfrac_digits(fibonacci_numbers(), base, count)
-    elif kind in _SCALED_FNS:
-        digits = _certify(lambda prec: _scaled_frac(kind, base, prec), base, count,
-                          max(1, guard), f"{count} base-{base} digits of {kind}")
-    else:  # pragma: no cover - _KINDS is exhaustive
-        raise UnsupportedConstant(kind)
+    if kind in _SCALED_FNS:
+        scaled = lambda prec: _SCALED_FNS[kind](base, prec)
+    else:
+        scaled = _concat_scaled(constant, base)
+    digits = _certify(scaled, base, count, max(1, guard),
+                      f"{count} base-{base} digits of {constant.identifier()}")
     return DigitBlock(base, 1, digits)
 
 
@@ -659,43 +644,47 @@ class DigitStream:
     """Single-consumer pull stream of contiguous DigitBlocks.
 
     Two independent streams over the same (constant, base) produce identical
-    digit prefixes; precision for recomputed constants grows geometrically,
-    up to what reserve() says will be read. Digits behind the cursor are
-    dropped once they fill half the buffer.
+    digit prefixes. Exact sources are generated chunk by chunk; precision
+    for recomputed constants grows geometrically, up to what reserve() says
+    will be read. Digits behind the cursor are dropped once they fill half
+    the buffer.
     """
 
     def __init__(self, source: ConstantSpec, base: int, block_size: int):
         _check_base(base)
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        kind = source.kind
-        if kind not in _KINDS:
-            raise UnsupportedConstant(kind)
         self.source = source
         self.base = base
         self.block_size = block_size
         self.cursor = 1
         self._buf = bytearray()  # digits from position self._first on
         self._first = 1
-        self._computed = 0       # digits the last recomputation produced
+        self._need = 0           # last position the current read needs
         self._horizon: int | None = None  # see reserve()
-        self._chunks: Iterator[bytes] | None = None
-        if kind in (CHAMPERNOWNE, COPELAND_ERDOS, FIBONACCI_CONCAT) and base == source.native_base():
-            self._chunks = _concat_chunks(source)
+        self._chunks = _exact_chunks(source, base) or self._recomputed()
+
+    def _recomputed(self) -> Iterator[bytes]:
+        """Chunks of a constant without an exact source: each one recomputes
+        the digits to twice the last target (at least the current need,
+        at most the horizon) and yields those past the last target."""
+        done = 0
+        while True:
+            grow = max(2 * done, 4 * self.block_size, 64)
+            if self._horizon is not None:
+                grow = min(grow, self._horizon)
+            target = max(self._need, grow)
+            yield digits_in_base(self.source, self.base, target).data[done:]
+            done = target
 
     def _read(self, count: int) -> bytes:
         """The `count` digits from the cursor; advances the cursor past them."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
         start, stop = self.cursor, self.cursor + count
-        if self._chunks is not None:
-            while self._first + len(self._buf) < stop:
-                self._buf += next(self._chunks)
-        elif self._first + len(self._buf) < stop:
-            grow = max(2 * self._computed, 4 * self.block_size, 64)
-            if self._horizon is not None:
-                grow = min(grow, self._horizon)
-            target = max(stop - 1, grow)
-            self._buf = bytearray(digits_in_base(self.source, self.base, target).data)
-            self._first, self._computed = 1, target
+        self._need = stop - 1
+        while self._first + len(self._buf) < stop:
+            self._buf += next(self._chunks)
         if start - self._first > len(self._buf) // 2:
             del self._buf[:start - self._first]
             self._first = start
@@ -720,6 +709,8 @@ class DigitStream:
 
     def skip(self, count: int):
         """Advance the cursor without emitting digits."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
         self.cursor += count
 
     def __iter__(self) -> Iterator[DigitBlock]:

@@ -138,20 +138,6 @@ def _scaled(n: int, radius: Fraction | None):
     return n * rv, 2 * rv, 2 * r.numerator  # center coord, pixel size, radius
 
 
-def _square_crossed(cx: int, step: int, rr: int, row: int, col: int) -> bool:
-    """Does the circle meet the closed unit square at (row, col)?"""
-    lo_x, hi_x = (col - 1) * step, col * step
-    lo_y, hi_y = (row - 1) * step, row * step
-    dx_lo, dx_hi = abs(cx - lo_x), abs(cx - hi_x)
-    dy_lo, dy_hi = abs(cx - lo_y), abs(cx - hi_y)
-    dx_min = 0 if lo_x <= cx <= hi_x else min(dx_lo, dx_hi)
-    dy_min = 0 if lo_y <= cx <= hi_y else min(dy_lo, dy_hi)
-    dx_max = max(dx_lo, dx_hi)
-    dy_max = max(dy_lo, dy_hi)
-    rr2 = rr * rr
-    return dx_min * dx_min + dy_min * dy_min <= rr2 <= dx_max * dx_max + dy_max * dy_max
-
-
 def rasterize_naive(n: int, radius: Fraction | None = None) -> RasterPattern:
     """Mark every pixel the circle of diameter n (or 2*radius) crosses."""
     if n < 1:
@@ -186,6 +172,23 @@ def _inside_matrix(n: int, radius: Fraction | None) -> list[list[bool]]:
     return [[d2[c] + d2[r] <= rr2 for c in range(1, n + 1)] for r in range(1, n + 1)]
 
 
+def _boundary_ring(inside: list[list[bool]]) -> list[int]:
+    """Row-major bits: 1 for an inside cell on the raster border or with a
+    4-neighbor outside, else 0."""
+    height, width = len(inside), len(inside[0])
+    bits = []
+    for r in range(height):
+        for c in range(width):
+            if not inside[r][c]:
+                bits.append(0)
+                continue
+            on_border = r == 0 or c == 0 or r == height - 1 or c == width - 1
+            exposed = on_border or not (inside[r - 1][c] and inside[r + 1][c]
+                                        and inside[r][c - 1] and inside[r][c + 1])
+            bits.append(1 if exposed else 0)
+    return bits
+
+
 def rasterize_center(n: int, radius: Fraction | None = None) -> RasterPattern:
     """Boundary ring of the pixels whose centers lie inside the circle.
 
@@ -195,17 +198,7 @@ def rasterize_center(n: int, radius: Fraction | None = None) -> RasterPattern:
     if n < 1:
         raise ValueError("n must be >= 1")
     inside = _inside_matrix(n, radius)
-    bits = []
-    for r in range(n):
-        for c in range(n):
-            if not inside[r][c]:
-                bits.append(0)
-                continue
-            on_border = r == 0 or c == 0 or r == n - 1 or c == n - 1
-            exposed = on_border or not (inside[r - 1][c] and inside[r + 1][c]
-                                        and inside[r][c - 1] and inside[r][c + 1])
-            bits.append(1 if exposed else 0)
-    return RasterPattern(n, CENTER, bits)
+    return RasterPattern(n, CENTER, _boundary_ring(inside))
 
 
 def rasterize_ellipse(semi_axis_a, semi_axis_b, width: int, height: int) -> BitRaster:
@@ -228,17 +221,7 @@ def rasterize_ellipse(semi_axis_a, semi_axis_b, width: int, height: int) -> BitR
 
     inside = [[is_inside(x, y) for x in range(1, width + 1)]
               for y in range(1, height + 1)]
-    bits = []
-    for r in range(height):
-        for c in range(width):
-            if not inside[r][c]:
-                bits.append(0)
-                continue
-            on_border = r == 0 or c == 0 or r == height - 1 or c == width - 1
-            exposed = on_border or not (inside[r - 1][c] and inside[r + 1][c]
-                                        and inside[r][c - 1] and inside[r][c + 1])
-            bits.append(1 if exposed else 0)
-    return BitRaster(width, height, bits)
+    return BitRaster(width, height, _boundary_ring(inside))
 
 
 def corner_crossed(n: int) -> bool:
@@ -246,10 +229,7 @@ def corner_crossed(n: int) -> bool:
 
     True exactly for n <= 6 (threshold 4 + 2*sqrt(2) ~ 6.83), and for n = 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cx, step, rr = _scaled(n, None)
-    return _square_crossed(cx, step, rr, 1, 1)
+    return rasterize_naive(n).bit(1, 1) == 1
 
 
 def centered_one_radius_bounds(n: int):

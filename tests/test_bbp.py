@@ -10,7 +10,6 @@ import pytest
 from sagan import bbp
 from sagan.bbp import (
     BBPFormula,
-    PolySeries,
     _evaluate_scaled,
     _extract_attempt,
     _head_sum,
@@ -72,14 +71,6 @@ class TestEvaluate:
             assert evaluate(log2_formula(), count).digits == \
                 digits_in_base(LOG2, 2, count).digits
 
-    def test_rational_poly_series(self):
-        third = PolySeries(4, p=(1,), q=(4,))  # sum 4^-k * (1/4) = 1/3
-        assert evaluate(third, 6).digits == \
-            digits_in_base(ConstantSpec.rational(1, 3), 4, 6).digits
-        ninth = PolySeries(10, p=(1,), q=(9,))  # sum 10^-k / 9 = 10/81
-        assert evaluate(ninth, 8).digits == \
-            digits_in_base(ConstantSpec.rational(10, 81), 10, 8).digits
-
     @pytest.mark.parametrize("formula, value", [
         (pi_formula(), lambda mpmath: +mpmath.pi),
         (log2_formula(), lambda mpmath: mpmath.log(2)),
@@ -140,7 +131,7 @@ class TestDigitExtract:
         with pytest.raises(ValueError):
             digit_extract(pi_formula(), 1, 9)
         with pytest.raises(TypeError):
-            digit_extract(PolySeries(4, (1,), (4,)), 1, 4)
+            digit_extract(object(), 1, 4)
 
 
 class TestExtractDigits:

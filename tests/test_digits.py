@@ -22,7 +22,8 @@ from sagan.digits import (
     open_stream,
     primes,
 )
-from sagan.digits import DEFAULT_GUARD, _SCALED_CACHE_SIZE, _SCALED_FNS, _certify, _scaled_cache
+from sagan import digits as digits_module
+from sagan.digits import DEFAULT_GUARD, _SCALED_FNS, _certify, _concat_scaled
 from sagan.errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -382,7 +383,9 @@ class TestStreams:
         for spec, base in ((ConstantSpec.champernowne(10), 10), (PI, 10),
                            (ConstantSpec.copeland_erdos(), 10),
                            (ConstantSpec.champernowne(3), 3),
-                           (ConstantSpec.rational(22, 7), 256)):
+                           (ConstantSpec.rational(22, 7), 256),
+                           (ConstantSpec.champernowne(10), 11),
+                           (ConstantSpec.fibonacci_cfrac(), 10)):
             whole = digits_in_base(spec, base, 30000).digits
             stream = open_stream(spec, base, rng.randint(1, 300))
             while stream.cursor < 25000:
@@ -397,6 +400,31 @@ class TestStreams:
                 block = stream.next_block() if step == "next" else stream.take(rng.randint(0, 500))
                 assert block.start_position == start
                 assert block.digits == whole[start - 1:start - 1 + len(block)]
+
+    def test_negative_counts_raise(self):
+        # a backwards skip or take would move the cursor behind digits the
+        # buffer has already dropped
+        for spec in (PI, ConstantSpec.champernowne(10)):
+            stream = open_stream(spec, 10, 64)
+            for _ in range(20):
+                stream.take(1000)
+            with pytest.raises(ValueError):
+                stream.skip(-10)
+            with pytest.raises(ValueError):
+                stream.take(-5)
+            assert stream.take(5) == DigitBlock(
+                10, 20001, digits_in_base(spec, 10, 20005).digits[20000:])
+
+    def test_rational_stream_computes_each_digit_once(self, monkeypatch):
+        spec = ConstantSpec.rational(1, 997)
+        whole = digits_in_base(spec, 10, 10 ** 5).data
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("a rational stream recomputed its digits")
+
+        monkeypatch.setattr(digits_module, "digits_in_base", recompute)
+        stream = open_stream(spec, 10, 1000)
+        assert b"".join(stream.next_block().data for _ in range(100)) == whole
 
     def test_determinism_across_streams(self):
         for spec in (PI, ConstantSpec.champernowne(10), ConstantSpec.fibonacci_cfrac()):
@@ -459,19 +487,28 @@ class TestSeriesBounds:
                 assert abs(diff) <= err, (kind, base, prec, diff)
 
 
-class TestScaledCache:
-    def test_bounded_and_equal_to_uncached(self):
-        pairs = [(kind, base) for kind in sorted(_SCALED_FNS) for base in (3, 10)]
-        assert len(pairs) > _SCALED_CACHE_SIZE
-        # each pair twice, so evicted pairs come back; 25 after 40 digits is
-        # served from the cached 40-digit value
-        for kind, base in pairs * 2:
-            for count in (40, 25):
-                got = list(digits_in_base(ConstantSpec.parse(kind), base, count).digits)
-                assert len(_scaled_cache) <= _SCALED_CACHE_SIZE
-                uncached = _certify(lambda prec: _SCALED_FNS[kind](base, prec), base,
-                                    count, DEFAULT_GUARD, "uncached digits")
-                assert got == uncached, (kind, base, count)
+class TestConcatScaledBound:
+    """0 <= V - X < err for a concatenation constant in a foreign base, where
+    V = value * base**prec is bracketed by a much longer native prefix."""
+
+    SPECS = (ConstantSpec.champernowne(10), ConstantSpec.champernowne(2),
+             ConstantSpec.champernowne(7), ConstantSpec.copeland_erdos(),
+             ConstantSpec.fibonacci_concat())
+
+    @pytest.mark.parametrize("spec", SPECS, ids=ConstantSpec.identifier)
+    def test_scaled_value_within_err(self, spec):
+        src = spec.native_base()
+        cases = [(base, prec) for base in (2, 3, 11, 16, 256) for prec in range(1, 61)]
+        cases += [(2, 1000), (11, 2000), (256, 700)]
+        long = 8000
+        y = digits_to_int(concat_constant_digits(spec, long).data, src)
+        scale = src ** long
+        for base, prec in cases:
+            x, err = _concat_scaled(spec, base)(prec)
+            big = base ** prec
+            # V lies in [y, y + 1] * big / scale
+            assert x * scale <= y * big, (spec, base, prec)
+            assert (y + 1) * big < (x + err) * scale, (spec, base, prec)
 
 
 class TestCertifier:
