@@ -495,6 +495,8 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
 
     scale = mpz(base) ** count
     bound = scale * base * base  # interval width must be < base**-(count+2)
+    # bl(x*y) <= bl(x) + bl(y), so below this sum the product is below bound
+    bound_bits = bound.bit_length()
     p_prev, q_prev = mpz(1), mpz(0)
     p_cur, q_cur = mpz(a0), mpz(1)
     exhausted = False
@@ -508,7 +510,8 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
             raise NonPositiveCoefficient(f"coefficient {a} must be >= 1")
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_prev and q_cur * q_prev > bound:
+        if (q_prev and q_cur.bit_length() + q_prev.bit_length() >= bound_bits
+                and q_cur * q_prev > bound):
             lo = _arith.divmod((p_cur - a0 * q_cur) * scale, q_cur)[0]
             hi = _arith.divmod((p_prev - a0 * q_prev) * scale, q_prev)[0]
             if lo == hi:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .digits import ConstantSpec, DigitBlock, digits_in_base
 from .errors import BlockTooShort, KTooLarge, MismatchedTotals, TooFewSamples
@@ -73,6 +72,94 @@ def kgram_counts(digits: DigitBlock, k: int) -> KGramCounts:
     return KGramCounts(base, k, n, dict(zip(grams, hits.tolist())))
 
 
+def _stirlerr(a: float) -> float:
+    """log Gamma(a+1) - [(a+1/2) log a - a + log(2 pi)/2], for a > 0."""
+    if a <= 15:
+        # lgamma(16) < 28, so the difference keeps an absolute error near 1e-14
+        return (math.lgamma(a + 1) - (a + 0.5) * math.log(a) + a
+                - 0.5 * math.log(2 * math.pi))
+    # Stirling series; the first omitted term, (691/360360) / a**11, is < 3e-16
+    aa = a * a
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / aa) / aa) / aa) / aa) / a
+
+
+def _bd0(a: float, y: float) -> float:
+    """a log(a/y) + y - a without cancellation, for a, y > 0.
+
+    With v = (a-y)/(a+y), log(a/y) = 2 (v + v**3/3 + v**5/5 + ...), so the
+    value is (a-y) v + 2a sum_{j>=1} v**(2j+1)/(2j+1). The series is used
+    while |v| < 1/2. Near a/y = 1.22 the closed form loses a factor 50 to
+    cancellation (a log(a/y) = 0.245y against a value of 0.023y), which put
+    errors of up to 8.5e-13 relative into tail p-values at dof 4095-65535;
+    outside |v| < 1/2 it loses at most a factor 2.5.
+    """
+    d = a - y
+    if abs(d) >= 0.5 * (a + y):
+        return a * math.log(a / y) + y - a
+    v = d / (a + y)
+    total = d * v
+    term = 2 * a * v
+    v *= v
+    j = 1
+    while True:
+        term *= v
+        nxt = total + term / (2 * j + 1)
+        if nxt == total:
+            return total
+        total = nxt
+        j += 1
+
+
+def _poisson_term(a: float, y: float) -> float:
+    """y**a exp(-y) / Gamma(a+1) in the saddle-point form of C. Loader,
+    "Fast and Accurate Computation of Binomial Probabilities" (2000),
+    exp(-stirlerr(a) - bd0(a, y)) / sqrt(2 pi a), accurate to a few ulps of
+    its exponent where the naive exp(a log y - y - lgamma(a+1)) loses digits
+    to the cancellation of a log y against y."""
+    if a == 0:
+        return math.exp(-y)
+    return math.exp(-_stirlerr(a) - _bd0(a, y)) / math.sqrt(2 * math.pi * a)
+
+
+def _chi2_sf(dof: int, x: float) -> float:
+    """Upper tail of the chi-square distribution with integer `dof` >= 1 at
+    `x`: the regularized upper incomplete gamma Q(dof/2, x/2).
+
+    With m = dof // 2, delta = 1/2 for odd dof (else 0) and y = x/2,
+    Q = [erfc(sqrt(y)) if dof is odd] + sum_{i<m} t_i, with
+    t_i = y**(i+delta) exp(-y) / Gamma(i+delta+1) (Abramowitz & Stegun
+    26.4.4-26.4.5); the same terms over i >= m sum to 1 - Q. The terms rise
+    with i up to i + delta ~ y and fall after it. If the last term of the
+    finite sum sits at or below y, the sum runs backwards from that term, its
+    largest. Otherwise y < m + delta - 1 lies below the median of a gamma
+    law with shape m + delta (which exceeds m + delta - 1/3), so Q > 1/2 and
+    1 - Q runs forwards from t_m, its largest. A sum stops at the first term
+    <= 1e-17 of its total, which also stops it when the terms underflow to 0.
+    """
+    y = x / 2
+    if y <= 0:
+        return 1.0
+    m, odd = divmod(dof, 2)
+    head = math.erfc(math.sqrt(y)) if odd else 0.0
+    a = m - 1 + 0.5 * odd  # the exponent of the last term, t_{m-1}
+    if a < 0:
+        return head
+    if a <= y:
+        t, total = _poisson_term(a, y), 0.0
+        while a >= 0 and t > total * 1e-17:
+            total += t
+            t *= a / y  # t_{i-1} = t_i (i + delta) / y
+            a -= 1
+        return head + total
+    a += 1
+    t, total = _poisson_term(a, y), 0.0
+    while t > total * 1e-17:
+        total += t
+        a += 1
+        t *= y / a  # t_{i+1} = t_i y / (i + 1 + delta)
+    return 1.0 - total
+
+
 class ChiSquare(NamedTuple):
     statistic: float
     p_value: float
@@ -81,7 +168,10 @@ class ChiSquare(NamedTuple):
 
 def chi_square_uniform(counts: KGramCounts, min_expected: float = 5.0) -> ChiSquare:
     """Pearson statistic against the uniform model and its upper-tail
-    p-value from the regularized incomplete gamma function."""
+    p-value Q(dof/2, statistic/2), dof = cells - 1, from `_chi2_sf`: a
+    finite Poisson sum (plus erfc for odd dof) in the standard library,
+    within 1e-12 relative of Q wherever Q >= 1e-300. A p-value below
+    UNDERFLOW_FLOOR is reported as 0 with `underflow` set."""
     cells = counts.cells
     samples = counts.samples
     if samples < min_expected * cells:
@@ -91,7 +181,7 @@ def chi_square_uniform(counts: KGramCounts, min_expected: float = 5.0) -> ChiSqu
     statistic = sum((n - expected) ** 2 for n in counts.counts.values()) / expected
     statistic += (cells - len(counts.counts)) * expected
     dof = cells - 1
-    p = float(gammaincc(dof / 2.0, statistic / 2.0))
+    p = _chi2_sf(dof, statistic)
     underflow = p < UNDERFLOW_FLOOR
     if underflow:
         p = 0.0

@@ -313,6 +313,24 @@ class TestConcatConstants:
         assert list(got.digits) == oracle
 
 
+def cfrac_reference(coefficients, base: int, count: int) -> int:
+    """floor(base**count * (x - a0)) for x = [a0; a1, ...], by the same
+    bracketing as cfrac_digits but with the full product q_cur * q_prev
+    compared with the bound at every coefficient."""
+    it = iter(coefficients)
+    a0 = next(it)
+    scale = base ** count
+    p_prev, q_prev, p_cur, q_cur = 1, 0, a0, 1
+    for a in it:
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        if q_cur * q_prev > scale * base * base:
+            lo = (p_cur - a0 * q_cur) * scale // q_cur
+            if lo == (p_prev - a0 * q_prev) * scale // q_prev:
+                return lo
+    return abs(p_cur - a0 * q_cur) % q_cur * scale // q_cur
+
+
 class TestContinuedFractions:
     def test_golden_ratio(self):
         assert cfrac_digits([1] + [1] * 100, 10, 5).digits == (6, 1, 8, 0, 3)
@@ -341,6 +359,26 @@ class TestContinuedFractions:
         value = Fraction(p_cur, q_cur)
         oracle = rational_digits_oracle(value.numerator, value.denominator, 10, 30)
         assert list(digits_in_base(ConstantSpec.fibonacci_cfrac(), 10, 30).digits) == oracle
+
+    @pytest.mark.parametrize("base", [2, 10, 11])
+    def test_fibonacci_cfrac_matches_full_product_reference(self, base):
+        for count in (1, 2, 9, 100, 1001, 4097, 20000):
+            got = digits_in_base(ConstantSpec.fibonacci_cfrac(), base, count)
+            assert len(got) == count
+            assert digits_to_int(got.digits, base) == cfrac_reference(
+                fibonacci_numbers(), base, count), count
+
+    def test_finite_cfracs_match_full_product_reference(self):
+        rng = random.Random(808)
+        for _ in range(100):
+            coeffs = [rng.choice((0, rng.randint(-10 ** 6, 10 ** 6)))]
+            for _ in range(rng.randint(0, 60)):
+                coeffs.append(rng.choice((1, rng.randint(1, 9), rng.randint(1, 3 ** 90))))
+            base = rng.choice((2, 3, 7, 10, 11, 16, 256))
+            count = rng.randint(1, 300)
+            got = cfrac_digits(coeffs, base, count)
+            assert digits_to_int(got.digits, base) == cfrac_reference(coeffs, base, count), \
+                (coeffs, base, count)
 
     def test_interval_width_invariant(self):
         # digits from one depth must be a prefix of digits from much deeper

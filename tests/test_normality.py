@@ -3,17 +3,24 @@ independent series / continued-fraction incomplete-gamma evaluation done
 in high-precision mpmath arithmetic."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import sagan
 from sagan.digits import ConstantSpec, DigitBlock, decimal_digits
 from sagan.errors import BlockTooShort, KTooLarge, MismatchedTotals, TooFewSamples
 from sagan.normality import (
+    UNDERFLOW_FLOOR,
     KGramCounts,
+    _chi2_sf,
     chi_square_uniform,
     exact_equidistribution_probability,
     kgram_counts,
@@ -21,6 +28,14 @@ from sagan.normality import (
 )
 
 PI = ConstantSpec.pi()
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter that imports this checkout's sagan."""
+    src = str(Path(sagan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
 
 
 def upper_gamma_oracle(a: float, x: float) -> mpmath.mpf:
@@ -137,8 +152,7 @@ class TestChiSquare:
         stat = 16.919
         p = float(upper_gamma_oracle(4.5, stat / 2))
         assert p == pytest.approx(0.05, abs=5e-5)
-        from scipy.special import gammaincc
-        assert float(gammaincc(4.5, stat / 2)) == pytest.approx(p, rel=1e-9)
+        assert _chi2_sf(9, stat) == pytest.approx(p, rel=1e-12)
 
     def test_pvalue_against_gamma_oracle(self):
         rng = random.Random(505)
@@ -146,26 +160,115 @@ class TestChiSquare:
         while checked < 50:
             dof = rng.choice((1, 2, 5, 9, 15, 63, 99, 255, 999))
             stat = rng.uniform(0.01, dof * 4 + 20)
-            from scipy.special import gammaincc
-            got = float(gammaincc(dof / 2, stat / 2))
+            got = _chi2_sf(dof, stat)
             oracle = float(upper_gamma_oracle(dof / 2, stat / 2))
             if oracle < 1e-250:
                 continue
-            assert got == pytest.approx(oracle, rel=1e-6), (dof, stat)
+            assert got == pytest.approx(oracle, rel=1e-12), (dof, stat)
             checked += 1
 
     def test_monotone_tail(self):
         # grid chosen away from the float saturation regions near 0 and 1
-        from scipy.special import gammaincc
         for dof in (3, 9, 99):
             stats = [dof * (1 + 0.25 * i) for i in range(13)]
-            grid = [gammaincc(dof / 2, s / 2) for s in stats]
+            grid = [_chi2_sf(dof, s) for s in stats]
             assert all(a > b for a, b in zip(grid, grid[1:]))
 
     def test_too_few_samples(self):
         counts = KGramCounts(10, 2, 30, {(1, 2): 29})
         with pytest.raises(TooFewSamples):
             chi_square_uniform(counts)
+
+
+def chi2_sf_oracle(dof: int, x: float) -> mpmath.mpf:
+    """Q(dof/2, x/2) as its finite sum at 50 digits: with y = x/2, m = dof//2
+    and delta = 1/2 for odd dof (else 0), [erfc(sqrt(y)) if dof is odd] plus
+    sum_{i<m} y**(i+delta) exp(-y) / Gamma(i+delta+1), term by term."""
+    with mpmath.workdps(50):
+        y = mpmath.mpf(x) / 2
+        m, odd = divmod(dof, 2)
+        a = mpmath.mpf(odd) / 2
+        total = mpmath.erfc(mpmath.sqrt(y)) if odd else mpmath.mpf(0)
+        term = y ** a * mpmath.exp(-y) / mpmath.gamma(a + 1)
+        for _ in range(m):
+            total += term
+            a += 1
+            term = term * y / a
+        return total
+
+
+def chi2_sf_points(dof: int) -> list[float]:
+    """The bulk, +-1, +-3 and +-6 standard deviations, the near-zero left
+    tail, and far right tails with Q about e**-L for L up to past the
+    underflow floor (Laurent-Massart: P(X >= dof + 2 sqrt(dof L) + 2L) <=
+    e**-L)."""
+    sd = math.sqrt(2 * dof)
+    xs = [dof + c * sd for c in (0, 1, -1, 3, -3, 6, -6)] + [dof / 100]
+    xs += [dof + 2 * math.sqrt(dof * L) + 2 * L for L in (50, 300, 600, 680, 700, 720, 760)]
+    return [x for x in xs if x > 0]
+
+
+class TestChi2Sf:
+    DOFS = (1, 2, 3, 9, 99, 255, 999, 4095, 65534, 65535)
+
+    @pytest.mark.parametrize("dof", DOFS)
+    def test_against_finite_sum_oracle(self, dof):
+        checked, underflows = 0, set()
+        for x in chi2_sf_points(dof):
+            oracle = chi2_sf_oracle(dof, x)
+            got = _chi2_sf(dof, x)
+            assert 0.0 <= got <= 1.0
+            if oracle >= 1e-300:
+                assert abs(got - oracle) <= 1e-12 * oracle, (dof, x, got, float(oracle))
+                checked += 1
+            if abs(oracle / mpmath.mpf("1e-308") - 1) >= 0.01:
+                assert (got < UNDERFLOW_FLOOR) == (oracle < 1e-308), (dof, x, got, float(oracle))
+                underflows.add(got < UNDERFLOW_FLOOR)
+        assert checked >= 8
+        assert underflows == {False, True}  # the points straddle the floor
+
+    @pytest.mark.parametrize("dof", DOFS + (2 ** 24 - 1,))
+    def test_zero_statistic(self, dof):
+        assert _chi2_sf(dof, 0.0) == 1.0
+
+    @pytest.mark.parametrize("dof, x", [(4095, 1000.0), (2 ** 24 - 1, 2.0 ** 24)])
+    def test_terminates(self, dof, x):
+        # in a fresh interpreter, so a sum that never stops fails on the timeout
+        proc = run_python("import time; from sagan.normality import _chi2_sf; "
+                          f"t = time.perf_counter(); v = _chi2_sf({dof}, {x!r}); "
+                          "print(v, time.perf_counter() - t)")
+        assert proc.returncode == 0, proc.stderr
+        value, elapsed = map(float, proc.stdout.split())
+        assert 0.0 <= value <= 1.0
+        assert elapsed < 1.0
+
+
+# top-level packages a sagan command may import: the standard library, numpy,
+# and gmpy2 where it is installed
+ALLOWED = "sys.stdlib_module_names | {'sagan', 'numpy', 'gmpy2'}"
+
+
+class TestDependencies:
+    def test_cli_import_loads_only_allowed_packages(self):
+        proc = run_python(f"import sys; allowed = {ALLOWED}; before = set(sys.modules); "
+                          "import sagan.cli; "
+                          "print(sorted({n.partition('.')[0] for n in set(sys.modules) - before}"
+                          " - allowed))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_normality_runs_with_other_packages_refused(self):
+        proc = run_python(f"""import sys
+allowed = {ALLOWED}
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition('.')[0] not in allowed:
+            raise ImportError(name)
+sys.meta_path.insert(0, Refuse())
+from sagan import cli
+sys.exit(cli.main(['normality', '--constant', 'pi', '--length', '10000']))""")
+        assert proc.returncode == 0, proc.stderr
+        assert "proves nothing" in proc.stdout
 
 
 class TestNormalityScan:
