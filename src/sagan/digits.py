@@ -228,9 +228,6 @@ def _powers(base: int):
 
 def digits_to_int(digits: Sequence[int], base: int):
     """Value of a most-significant-first digit vector as an integer."""
-    n = len(digits)
-    if n == 0:
-        return mpz(0)
     power = _powers(base)
 
     def build(lo: int, hi: int):
@@ -242,7 +239,7 @@ def digits_to_int(digits: Sequence[int], base: int):
         mid = (lo + hi) // 2
         return build(lo, mid) * power(hi - mid) + build(mid, hi)
 
-    return build(0, n)
+    return build(0, len(digits))
 
 
 def int_to_digits(value, base: int, count: int) -> list[int]:
@@ -276,14 +273,25 @@ def int_to_digits(value, base: int, count: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# scaled-fraction generators: X with |X - frac(value) * base**prec| <= err
+# scaled-fraction sources: scaled(prec) = X, err with |X - frac(value) * base**prec| <= err
 #
 # Each series is one _split sum and one floor division, so X is off by under
 # one unit from that floor plus the scaled tail past the last term (and any
-# rounding of the division's inputs), which each series' term count keeps
-# below one unit. Integer offsets (frac(e) = e - 2) are exact: err = 2.
+# rounding of the division's inputs), which the term count keeps below one
+# unit; extra terms only shrink the tail. Integer offsets (frac(e) = e - 2)
+# are exact: err = 2. pi divides at its quotient's size: V = 426880 R Q / T
+# < 4 scale for the root R, and T / Q, the partial Chudnovsky sum, is in
+# (2**23, 2**24), so shifting Q and T right by s = bl(T) - bl(scale) - 28
+# moves V down by under V 2**s / Q < 2**(bl(scale) + 2 + s + 25 - bl(T)) =
+# 1/2 and up by under 2**-24; with the floor (< 1) and R's error (< 1 unit
+# times 426880 Q/T < 0.04), X stays within err = 2.
 
 _SERIES_ERR = 2
+
+
+def _combine(left, right):  # (P, Q, B, T) of two adjacent ranges, left first
+    (p1, q1, b1, t1), (p2, q2, b2, t2) = left, right
+    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
 
 
 def _split(term, lo: int, hi: int):
@@ -295,9 +303,41 @@ def _split(term, lo: int, hi: int):
         p, q, a, b = term(mpz(lo))
         return p, q, b, a * p
     mid = (lo + hi) // 2
-    p1, q1, b1, t1 = _split(term, lo, mid)
-    p2, q2, b2, t2 = _split(term, mid, hi)
-    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+    return _combine(_split(term, lo, mid), _split(term, mid, hi))
+
+
+def _series(term):
+    """upto(n): (P, Q, B, T) of the first m >= n terms, kept to split only [m, n)."""
+    state, done = None, 0  # (P, Q, B, T) of the first `done` terms
+
+    def upto(n: int):
+        nonlocal state, done
+        if n > done:
+            state, done = _combine(state, _split(term, done, n)) if done else _split(term, 0, n), n
+        return state
+    return upto
+
+
+def _root(c: int, base: int):
+    """root(prec, scale) = isqrt(n), n = c * scale**2, scale = base**prec, c not
+    a square. From root r at prec0 <= prec <= 2 prec0, d = prec - prec0, the
+    irrational sqrt(n) lies below x0 = (r + 1) * base**d by e0 in (0, base**d);
+    one Newton step (x0 + n // x0) // 2 = floor((x0 + n/x0) / 2) is >= sqrt(n)
+    and above it by e0**2 / (2 x0) < base**(2d) / (2 scale) < 1: isqrt(n) + 0|1."""
+    prec0, r = math.inf, 0  # the last prec and root
+
+    def root(prec: int, scale):
+        nonlocal prec0, r
+        n = c * scale * scale
+        if prec0 <= prec <= 2 * prec0:
+            x = (r + 1) * mpz(base) ** (prec - prec0)
+            x = (x + _arith.divmod(n, x)[0]) >> 1
+            r = x - (x * x > n)
+        else:
+            r = isqrt(n)
+        prec0 = prec
+        return r
+    return root
 
 
 def _chudnovsky_term(k):
@@ -308,49 +348,63 @@ def _chudnovsky_term(k):
             (-1) ** k * (13591409 + 545140134 * k), 1)  # q: k^3 * 640320^3 / 24
 
 
-def _pi_scaled(base: int, prec: int):
+def _pi_source(base: int):
     # p(k)/q(k) < 72/10939058860032000 < 10**-14.18 and a(k) grows linearly,
-    # so N >= prec*log10(base)/14 + 1 terms leave a tail far below one unit;
-    # the isqrt error (< 1) is scaled by 426880 Q/T ~ pi/100.
-    terms = max(2, int(prec * math.log10(base) / 14) + 2)
-    _, q, _, t = _split(_chudnovsky_term, 0, terms)
-    scale = mpz(base) ** prec
-    root = isqrt(10005 * scale * scale)
-    return _arith.divmod(426880 * q * root, t)[0] - 3 * scale, _SERIES_ERR
+    # so N >= prec*log10(base)/14 + 1 terms leave a tail far below one unit.
+    series, root = _series(_chudnovsky_term), _root(10005, base)
+
+    def scaled(prec: int):
+        _, q, _, t = series(max(2, int(prec * math.log10(base) / 14) + 2))
+        scale = mpz(base) ** prec
+        s = max(0, t.bit_length() - scale.bit_length() - 28)
+        x = _arith.divmod(426880 * (q >> s) * root(prec, scale), t >> s)[0]
+        return x - 3 * scale, _SERIES_ERR
+    return scaled
 
 
-def _sqrt2_scaled(base: int, prec: int):
-    scale = mpz(base) ** prec
-    return isqrt(2 * scale * scale) - scale, 1
+def _sqrt2_source(base: int):
+    root = _root(2, base)
+
+    def scaled(prec: int):
+        scale = mpz(base) ** prec
+        return root(prec, scale) - scale, 1
+    return scaled
 
 
-def _e_scaled(base: int, prec: int):
+def _e_source(base: int):
     # e = sum_k 1/k!; the tail past N terms is below 2/N!, and N! > 2 * scale
     # once lgamma(N + 1) clears ln(scale) + 1 (ln 2 plus float slack)
-    target = prec * math.log(base) + 1
-    terms = 2
-    while math.lgamma(terms + 1) <= target:
-        terms += 1
-    _, q, _, t = _split(lambda k: (1, k or 1, 1, 1), 0, terms)
-    scale = mpz(base) ** prec
-    return _arith.divmod(scale * t, q)[0] - 2 * scale, _SERIES_ERR
+    series = _series(lambda k: (1, k or 1, 1, 1))
+
+    def scaled(prec: int):
+        target = prec * math.log(base) + 1
+        terms = 2
+        while math.lgamma(terms + 1) <= target:
+            terms += 1
+        _, q, _, t = series(terms)
+        scale = mpz(base) ** prec
+        return _arith.divmod(scale * t, q)[0] - 2 * scale, _SERIES_ERR
+    return scaled
 
 
-def _log2_scaled(base: int, prec: int):
+def _log2_source(base: int):
     # ln 2 = 2 atanh(1/3) = (2/3) sum_k 9**-k / (2k+1): the tail past N terms
     # is below 9**-N <= 1/scale (+2 terms of float slack)
-    terms = int(prec * math.log(base) / math.log(9)) + 2
-    _, q, b, t = _split(lambda k: (1, 9 if k else 1, 1, 2 * k + 1), 0, terms)
-    return _arith.divmod(2 * mpz(base) ** prec * t, 3 * b * q)[0], _SERIES_ERR
+    series = _series(lambda k: (1, 9 if k else 1, 1, 2 * k + 1))
+
+    def scaled(prec: int):
+        _, q, b, t = series(int(prec * math.log(base) / math.log(9)) + 2)
+        return _arith.divmod(2 * mpz(base) ** prec * t, 3 * b * q)[0], _SERIES_ERR
+    return scaled
 
 
-_SCALED_FNS = {PI: _pi_scaled, SQRT2: _sqrt2_scaled, E: _e_scaled, LOG2: _log2_scaled}
+_SOURCES = {PI: _pi_source, SQRT2: _sqrt2_source, E: _e_source, LOG2: _log2_source}
 
 
-def _certify(scaled, base: int, count: int, guard: int, what: str) -> list[int]:
-    """The `count` fractional digits of X // base**g, X, err = scaled(count + g),
-    once X mod base**g is more than err from both ends of the band, so that
-    no value within err of X carries into them; g doubles, four tries."""
+def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0) -> list[int]:
+    """Digits done+1..count of X // base**g, X, err = scaled(count + g), once
+    X mod base**g is more than err from both ends of the band, so that no
+    value within err of X carries into them; g doubles, four tries."""
     g = guard
     for _ in range(4):
         x, err = scaled(count + g)
@@ -358,7 +412,8 @@ def _certify(scaled, base: int, count: int, guard: int, what: str) -> list[int]:
         rem = x % band
         margin = err + 1
         if margin <= rem < band - margin:
-            return int_to_digits(x // band % mpz(base) ** count, base, count)
+            return int_to_digits(_arith.divmod(x // band, mpz(base) ** (count - done))[1],
+                                 base, count - done)
         g *= 2
     raise PrecisionExhausted(f"could not certify {what}")
 
@@ -499,12 +554,10 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
     bound_bits = bound.bit_length()
     p_prev, q_prev = mpz(1), mpz(0)
     p_cur, q_cur = mpz(a0), mpz(1)
-    exhausted = False
     for _ in range(10 ** 7):
         try:
             a = int(next(it))
-        except StopIteration:
-            exhausted = True
+        except StopIteration:  # a finite list: its exact rational endpoint
             break
         if a < 1:
             raise NonPositiveCoefficient(f"coefficient {a} must be >= 1")
@@ -516,9 +569,8 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
             hi = _arith.divmod((p_prev - a0 * q_prev) * scale, q_prev)[0]
             if lo == hi:
                 return DigitBlock(base, 1, int_to_digits(lo, base, count))
-    if not exhausted:
+    else:
         raise PrecisionExhausted("convergents did not certify the digits")
-    # exact rational endpoint
     num = p_cur - a0 * q_cur
     return DigitBlock(base, 1, _take(_rational_chunks(int(num), int(q_cur), base), count))
 
@@ -613,6 +665,15 @@ def _check_base(base: int):
         raise UnsupportedConstant(f"base {base} outside [{MIN_BASE}, {MAX_BASE}]")
 
 
+def _computed(constant: ConstantSpec, base: int, guard: int):
+    """digits(count, done): digits done+1..count, all from one source."""
+    if constant.kind == FIBONACCI_CFRAC:
+        return lambda count, done: cfrac_digits(fibonacci_numbers(), base, count).data[done:]
+    scaled = _SOURCES.get(constant.kind, lambda b: _concat_scaled(constant, b))(base)
+    what = f"base-{base} digits of {constant.identifier()}"
+    return lambda count, done: bytes(_certify(scaled, base, count, guard, f"{count} {what}", done))
+
+
 def digits_in_base(constant: ConstantSpec, base: int, count: int,
                    guard: int = DEFAULT_GUARD) -> DigitBlock:
     """First `count` fractional digits of `constant` in `base`, position exact."""
@@ -620,18 +681,8 @@ def digits_in_base(constant: ConstantSpec, base: int, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     chunks = _exact_chunks(constant, base)
-    if chunks is not None:
-        return DigitBlock(base, 1, _take(chunks, count))
-    kind = constant.kind
-    if kind == FIBONACCI_CFRAC:
-        return cfrac_digits(fibonacci_numbers(), base, count)
-    if kind in _SCALED_FNS:
-        scaled = lambda prec: _SCALED_FNS[kind](base, prec)
-    else:
-        scaled = _concat_scaled(constant, base)
-    digits = _certify(scaled, base, count, max(1, guard),
-                      f"{count} base-{base} digits of {constant.identifier()}")
-    return DigitBlock(base, 1, digits)
+    data = _take(chunks, count) if chunks else _computed(constant, base, max(1, guard))(count, 0)
+    return DigitBlock(base, 1, data)
 
 
 def decimal_digits(constant: ConstantSpec, count: int,
@@ -647,10 +698,10 @@ class DigitStream:
     """Single-consumer pull stream of contiguous DigitBlocks.
 
     Two independent streams over the same (constant, base) produce identical
-    digit prefixes. Exact sources are generated chunk by chunk; precision
-    for recomputed constants grows geometrically, up to what reserve() says
-    will be read. Digits behind the cursor are dropped once they fill half
-    the buffer.
+    digit prefixes. Exact sources are generated chunk by chunk; any other
+    constant keeps one source, which each refill extends geometrically, up to
+    what reserve() says will be read, converting only the new digits. Digits
+    behind the cursor are dropped once they fill half the buffer.
     """
 
     def __init__(self, source: ConstantSpec, base: int, block_size: int):
@@ -665,19 +716,20 @@ class DigitStream:
         self._first = 1
         self._need = 0           # last position the current read needs
         self._horizon: int | None = None  # see reserve()
-        self._chunks = _exact_chunks(source, base) or self._recomputed()
+        self._chunks = _exact_chunks(source, base) or self._extended()
 
-    def _recomputed(self) -> Iterator[bytes]:
-        """Chunks of a constant without an exact source: each one recomputes
+    def _extended(self) -> Iterator[bytes]:
+        """Chunks of a constant without an exact source: each one extends
         the digits to twice the last target (at least the current need,
         at most the horizon) and yields those past the last target."""
+        digits = _computed(self.source, self.base, DEFAULT_GUARD)
         done = 0
         while True:
             grow = max(2 * done, 4 * self.block_size, 64)
             if self._horizon is not None:
                 grow = min(grow, self._horizon)
             target = max(self._need, grow)
-            yield digits_in_base(self.source, self.base, target).data[done:]
+            yield digits(target, done)
             done = target
 
     def _read(self, count: int) -> bytes:
@@ -695,20 +747,18 @@ class DigitStream:
         return bytes(self._buf[start - self._first:stop - self._first])
 
     def reserve(self, count: int):
-        """Only the next `count` digits will be read: a recomputation grows
-        no further than the end of the block that holds the last of them,
+        """Only the next `count` digits will be read: a refill grows no
+        further than the end of the block that holds the last of them,
         unless a read goes past it."""
         blocks = max(0, -(-count // self.block_size))
         self._horizon = self.cursor - 1 + blocks * self.block_size
 
     def next_block(self) -> DigitBlock:
-        start = self.cursor
-        return DigitBlock(self.base, start, self._read(self.block_size))
+        return self.take(self.block_size)
 
     def take(self, count: int) -> DigitBlock:
         """Next `count` digits from the cursor as one block."""
-        start = self.cursor
-        return DigitBlock(self.base, start, self._read(count))
+        return DigitBlock(self.base, self.cursor, self._read(count))
 
     def skip(self, count: int):
         """Advance the cursor without emitting digits."""

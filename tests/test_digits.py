@@ -23,7 +23,8 @@ from sagan.digits import (
     primes,
 )
 from sagan import digits as digits_module
-from sagan.digits import DEFAULT_GUARD, _SCALED_FNS, _certify, _concat_scaled
+from sagan.digits import (DEFAULT_GUARD, _SOURCES, _certify, _computed, _concat_scaled,
+                          _root)
 from sagan.errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -461,6 +462,7 @@ class TestStreams:
             raise AssertionError("a rational stream recomputed its digits")
 
         monkeypatch.setattr(digits_module, "digits_in_base", recompute)
+        monkeypatch.setattr(digits_module, "_computed", recompute)
         stream = open_stream(spec, 10, 1000)
         assert b"".join(stream.next_block().data for _ in range(100)) == whole
 
@@ -470,6 +472,125 @@ class TestStreams:
             b = open_stream(spec, 10, 64)
             for _ in range(3):
                 assert a.next_block().digits == b.next_block().digits
+
+
+def held_ints(obj):
+    """Every integer a source holds, through closures and tuples."""
+    if hasattr(obj, "bit_length"):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from held_ints(item)
+    elif getattr(obj, "__closure__", None):
+        for cell in obj.__closure__:
+            yield from held_ints(cell.cell_contents)
+
+
+class TestGrowingSources:
+    """A stream over a series constant extends one source: each refill
+    splits only its new terms and converts only its new digits."""
+
+    SERIES = (PI, ConstantSpec.e(), ConstantSpec.log2(), ConstantSpec.sqrt2())
+
+    def test_pi_stream_costs_one_call(self, monkeypatch):
+        counts = {"terms": 0, "digits": 0}
+        term, to_digits = digits_module._chudnovsky_term, digits_module.int_to_digits
+
+        def counted_term(k):
+            counts["terms"] += 1
+            return term(k)
+
+        def counted_digits(value, base, count):
+            counts["digits"] += count
+            return to_digits(value, base, count)
+
+        monkeypatch.setattr(digits_module, "_chudnovsky_term", counted_term)
+        monkeypatch.setattr(digits_module, "int_to_digits", counted_digits)
+        total, block = 102400, 4096
+        whole = digits_in_base(PI, 10, total).data
+        one_call = dict(counts)
+        counts.update(terms=0, digits=0)
+        stream = open_stream(PI, 10, block)
+        stream.reserve(total)  # refills to 16384, 32768, 65536 and 102400
+        assert b"".join(stream.next_block().data for _ in range(total // block)) == whole
+        assert counts["terms"] <= one_call["terms"] + 16, (counts, one_call)
+        assert counts["digits"] <= one_call["digits"] + 16, (counts, one_call)
+
+    @pytest.mark.parametrize("spec", SERIES, ids=ConstantSpec.identifier)
+    def test_held_state_stays_bounded(self, spec):
+        # the state is the split of one call at the largest prec, nothing more
+        bound = {"pi": 3, "e": 2, "log2": 8, "sqrt2": 1}[spec.kind]
+        for base in (2, 10, 256):
+            source = _SOURCES[spec.kind](base)
+            for count in (64, 1000, 2000, 4000, 8000, 16000):
+                source(count)
+                bits = max(v.bit_length() for v in held_ints(source))
+                assert bits <= bound * count * math.log2(base) + 200, (base, count, bits)
+
+    @pytest.mark.parametrize("spec", SERIES, ids=ConstantSpec.identifier)
+    def test_random_refills_match_one_call(self, spec):
+        rng = random.Random(spec.kind)
+        total = 3000 if spec.kind == "log2" else 6000
+        for base in (2, 10, 11, 256):
+            whole = digits_in_base(spec, base, total).data
+            # with guard 1 every call retries, so retries follow extensions;
+            # in base 2 its four tries fail about 1 call in 100
+            for guard in (1, DEFAULT_GUARD):
+                digits, done, got = _computed(spec, base, guard), 0, b""
+                while done < total:
+                    count = done + rng.choice((1, 7, rng.randint(1, 2 * done + 64)))
+                    try:
+                        got += digits(count, done)
+                    except PrecisionExhausted:
+                        assert guard == 1
+                        continue
+                    done = count
+                assert got[:total] == whole, (base, guard)
+
+    @pytest.mark.parametrize("spec", SERIES, ids=ConstantSpec.identifier)
+    def test_stream_reads_match_one_call(self, spec):
+        rng = random.Random(spec.kind)
+        total = 3000 if spec.kind == "log2" else 8000
+        for base in (2, 10, 11, 256):
+            whole = digits_in_base(spec, base, total).data
+            stream = open_stream(spec, base, rng.randint(1, 300))
+            while stream.cursor < total - 800:
+                start = stream.cursor
+                step = rng.choice(("next", "take", "skip", "reserve"))
+                if step == "skip":
+                    stream.skip(rng.randint(0, 500))
+                    continue
+                if step == "reserve":  # reads may still go past it
+                    stream.reserve(rng.randint(0, 500))
+                    continue
+                block = stream.next_block() if step == "next" else stream.take(rng.randint(0, 500))
+                assert block.data == whole[start - 1:start - 1 + len(block)], (base, start)
+
+
+class TestSeededRoot:
+    """_root seeds a Newton step from its last root when prec at most
+    doubles, and takes a full isqrt otherwise."""
+
+    @pytest.mark.parametrize("c,base", [(2, 2), (2, 10), (2, 256), (10005, 10), (10005, 11)])
+    def test_matches_isqrt(self, c, base, monkeypatch):
+        full = []
+        monkeypatch.setattr(digits_module, "isqrt", lambda n: full.append(n) or math.isqrt(n))
+        for prec0, prec in ((1, 2), (1, 3), (2, 3), (40, 41), (40, 80), (40, 81),
+                            (999, 1000), (1000, 2000), (1000, 2001), (777, 1553)):
+            root = _root(c, base)
+            assert root(prec0, base ** prec0) == math.isqrt(c * base ** (2 * prec0))
+            full.clear()
+            assert root(prec, base ** prec) == math.isqrt(c * base ** (2 * prec)), (prec0, prec)
+            assert bool(full) == (prec > 2 * prec0), (prec0, prec)
+
+    def test_chain_of_seeded_roots(self):
+        rng = random.Random(3)
+        for c, base in ((2, 10), (10005, 11), (2, 3)):
+            root, prec = _root(c, base), 1
+            while prec < 5000:
+                prec = rng.randint(prec, 2 * prec)
+                scale = base ** prec
+                assert root(prec, scale) == math.isqrt(c * scale * scale), (c, base, prec)
 
 
 class TestHighPrecisionOracle:
@@ -512,17 +633,31 @@ class TestSeriesBounds:
         "sqrt2": lambda mpmath: mpmath.sqrt(2),
     }
 
+    CASES = [(base, prec) for base in (2, 10, 11, 256) for prec in range(1, 61)]
+    CASES += [(10, 139), (11, 2000), (256, 700), (2, 5000)]
+
+    def check(self, kind, base, prec, x, err):
+        import mpmath
+        with mpmath.workprec(int(prec * math.log2(base)) + 64):
+            value = self.VALUES[kind](mpmath)
+            diff = x - mpmath.frac(value) * mpmath.mpf(base) ** prec
+            assert abs(diff) <= err, (kind, base, prec, diff)
+
     @pytest.mark.parametrize("kind", sorted(VALUES))
     def test_scaled_value_within_err(self, kind):
-        import mpmath
-        cases = [(base, prec) for base in (2, 10, 11, 256) for prec in range(1, 61)]
-        cases += [(10, 139), (11, 2000), (256, 700), (2, 5000)]
-        for base, prec in cases:
-            x, err = _SCALED_FNS[kind](base, prec)
-            with mpmath.workprec(int(prec * math.log2(base)) + 64):
-                value = self.VALUES[kind](mpmath)
-                diff = x - mpmath.frac(value) * mpmath.mpf(base) ** prec
-                assert abs(diff) <= err, (kind, base, prec, diff)
+        for base, prec in self.CASES:
+            self.check(kind, base, prec, *_SOURCES[kind](base)(prec))
+
+    @pytest.mark.parametrize("rising", (True, False), ids=("rising", "falling"))
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    def test_grown_source_within_err(self, kind, rising):
+        # one source per base serves every case: rising, each call extends
+        # the terms and seeds the root from the last call; falling, each call
+        # holds more terms than its prec needs and takes a full root
+        sources = {}
+        for base, prec in sorted(self.CASES, reverse=not rising):
+            source = sources.setdefault(base, _SOURCES[kind](base))
+            self.check(kind, base, prec, *source(prec))
 
 
 class TestConcatScaledBound:
@@ -573,6 +708,11 @@ class TestCertifier:
     def test_upper_end_of_band(self):
         assert self.certify(lambda band: band - 1 - 2) == (None, [2, 4, 8, 16])
         assert self.certify(lambda band: band - 1 - 3) == ([1, 2, 3], [2])
+
+    def test_done_digits_are_not_returned(self):
+        scaled = lambda prec: (123 * 10 ** (prec - 3) + 5 * 10 ** (prec - 5), 2)
+        assert _certify(scaled, 10, 3, 2, "test digits", done=1) == [2, 3]
+        assert _certify(scaled, 10, 3, 2, "test digits", done=3) == []
 
 
 class TestIntDigitHelpers:

@@ -123,13 +123,17 @@ class TestFindFirst:
     def test_refills_stop_at_the_limit(self, monkeypatch):
         import sagan.digits as digits_mod
         computed = []
-        real = digits_mod.digits_in_base
+        real = digits_mod._computed
 
-        def recording(constant, base, count, *args):
-            computed.append(count)
-            return real(constant, base, count, *args)
+        def recording(*args):
+            digits = real(*args)
 
-        monkeypatch.setattr(digits_mod, "digits_in_base", recording)
+            def refill(count, done):
+                computed.append(count)
+                return digits(count, done)
+            return refill
+
+        monkeypatch.setattr(digits_mod, "_computed", recording)
         result = find_first(open_stream(PI, 10, 1000), compile(rasterize_center(3), 10), 5000)
         assert not result.found and result.digits_examined == 5000
         # geometric growth, capped at the block holding limit + context
