@@ -93,7 +93,7 @@ def evaluate(formula: BBPFormula, digit_count: int, guard: int = 12) -> DigitBlo
     if digit_count < 1:
         raise ValueError("digit_count must be >= 1")
     digits = _certify(lambda prec: _evaluate_scaled(formula, prec), formula.base,
-                      digit_count, max(4, guard),
+                      digit_count, guard,
                       f"{digit_count} digits of {formula.description or formula}")
     return DigitBlock(formula.base, 1, digits)
 

@@ -29,6 +29,7 @@ from .raster import (
 )
 
 MAX_CONTEXT_WIDTH = 10 ** 4
+MAX_SIDE = 4096  # largest raster side: circle and search n, ellipse width and height
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -168,8 +169,8 @@ def cmd_digits(args) -> int:
 
 
 def cmd_circle(args) -> int:
-    if not 1 <= args.n <= 4096:
-        print("n must be in 1..4096", file=sys.stderr)
+    if not 1 <= args.n <= MAX_SIDE:
+        print(f"n must be in 1..{MAX_SIDE}", file=sys.stderr)
         return EXIT_USAGE
     pattern = rasterize(args.n, args.scheme, args.radius)
     if args.flat:
@@ -180,6 +181,9 @@ def cmd_circle(args) -> int:
 
 
 def cmd_ellipse(args) -> int:
+    if not (1 <= args.width <= MAX_SIDE and 1 <= args.height <= MAX_SIDE):
+        print(f"width and height must be in 1..{MAX_SIDE}", file=sys.stderr)
+        return EXIT_USAGE
     raster = rasterize_ellipse(args.a, args.b, args.width, args.height)
     print(raster.flat() if args.flat else raster.ascii())
     return EXIT_OK
@@ -210,8 +214,8 @@ def cmd_search(args) -> int:
     if args.limit < 1:
         print("limit must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if not 1 <= args.n <= 4096:
-        print("n must be in 1..4096", file=sys.stderr)
+    if not 1 <= args.n <= MAX_SIDE:
+        print(f"n must be in 1..{MAX_SIDE}", file=sys.stderr)
         return EXIT_USAGE
     if not 0 <= args.context_width <= MAX_CONTEXT_WIDTH:
         print(f"context width must be in 0..{MAX_CONTEXT_WIDTH}", file=sys.stderr)

@@ -404,8 +404,14 @@ _SOURCES = {PI: _pi_source, SQRT2: _sqrt2_source, E: _e_source, LOG2: _log2_sour
 def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0) -> list[int]:
     """Digits done+1..count of X // base**g, X, err = scaled(count + g), once
     X mod base**g is more than err from both ends of the band, so that no
-    value within err of X carries into them; g doubles, four tries."""
+    value within err of X carries into them; g doubles, four tries.
+
+    A band of base**g <= 2 * (err + 1) leaves no remainder that certifies, so
+    g starts at the smallest g >= guard whose band is wider than that for
+    _SERIES_ERR, the largest err any source returns."""
     g = guard
+    while base ** g <= 2 * (_SERIES_ERR + 1):
+        g += 1
     for _ in range(4):
         x, err = scaled(count + g)
         band = mpz(base) ** g
@@ -681,7 +687,7 @@ def digits_in_base(constant: ConstantSpec, base: int, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     chunks = _exact_chunks(constant, base)
-    data = _take(chunks, count) if chunks else _computed(constant, base, max(1, guard))(count, 0)
+    data = _take(chunks, count) if chunks else _computed(constant, base, guard)(count, 0)
     return DigitBlock(base, 1, data)
 
 

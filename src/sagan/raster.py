@@ -1,7 +1,7 @@
 """Digital n-circles: rasterization schemes, symmetries, and cell counting.
 
-Every geometric predicate is evaluated in exact integer or rational
-arithmetic on a half-unit lattice; no floating point enters any decision.
+Every geometric predicate is evaluated in exact integer arithmetic on a
+half-unit lattice; no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -22,43 +22,53 @@ CENTER = "center"
 SCHEMES = (NAIVE, CENTER)
 
 
-class RasterPattern:
-    """n x n bit raster flattened row major, top row first."""
+class BitRaster:
+    """width x height bit raster flattened row major, top row first."""
 
-    __slots__ = ("n", "scheme", "bits")
+    __slots__ = ("width", "height", "bits")
 
-    def __init__(self, n: int, scheme: str, bits):
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
+    def __init__(self, width: int, height: int, bits):
         bits = tuple(int(b) for b in bits)
-        if len(bits) != n * n:
-            raise ValueError(f"expected {n * n} bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
+        if len(bits) != width * height:
+            raise ValueError(f"expected {width * height} bits, got {len(bits)}")
+        if not set(bits) <= {0, 1}:
             raise ValueError("bits must be 0 or 1")
-        self.n = n
-        self.scheme = scheme
+        self.width = width
+        self.height = height
         self.bits = bits
 
     def bit(self, row: int, col: int) -> int:
         """1-indexed access, row 1 = top."""
-        n = self.n
-        if not (1 <= row <= n and 1 <= col <= n):
+        if not (1 <= row <= self.height and 1 <= col <= self.width):
             raise IndexError((row, col))
-        return self.bits[(row - 1) * n + (col - 1)]
+        return self.bits[(row - 1) * self.width + (col - 1)]
 
     def flat(self) -> str:
         return "".join(str(b) for b in self.bits)
 
     def rows(self) -> list[tuple[int, ...]]:
-        n = self.n
-        return [self.bits[i * n:(i + 1) * n] for i in range(n)]
+        w = self.width
+        return [self.bits[i * w:(i + 1) * w] for i in range(self.height)]
 
     def ascii(self, frame: bool = False, on: str = "#", off: str = ".") -> str:
-        rows = [("".join(on if b else off for b in row)) for row in self.rows()]
+        rows = ["".join(on if b else off for b in row) for row in self.rows()]
         if frame:
-            width = self.n + 2
-            rows = [off * width] + [off + row + off for row in rows] + [off * width]
+            edge = off * (self.width + 2)
+            rows = [edge] + [off + row + off for row in rows] + [edge]
         return "\n".join(rows)
+
+
+class RasterPattern(BitRaster):
+    """n x n digital circle under a rasterization scheme."""
+
+    __slots__ = ("n", "scheme")
+
+    def __init__(self, n: int, scheme: str, bits):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        super().__init__(n, n, bits)
+        self.n = n
+        self.scheme = scheme
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RasterPattern) and self.n == other.n
@@ -69,32 +79,6 @@ class RasterPattern:
 
     def __repr__(self) -> str:
         return f"RasterPattern(n={self.n}, scheme={self.scheme!r}, flat={self.flat()!r})"
-
-
-class BitRaster:
-    """Plain width x height bit raster (ellipse digitization output)."""
-
-    __slots__ = ("width", "height", "bits")
-
-    def __init__(self, width: int, height: int, bits):
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != width * height:
-            raise ValueError("bit count does not match raster size")
-        self.width = width
-        self.height = height
-        self.bits = bits
-
-    def bit(self, row: int, col: int) -> int:
-        return self.bits[(row - 1) * self.width + (col - 1)]
-
-    def flat(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def ascii(self, on: str = "#", off: str = ".") -> str:
-        w = self.width
-        return "\n".join(
-            "".join(on if b else off for b in self.bits[i * w:(i + 1) * w])
-            for i in range(self.height))
 
 
 @dataclass(frozen=True)
@@ -125,25 +109,23 @@ class GeneralizedPattern:
 
 # ---------------------------------------------------------------------------
 # exact predicates on the half-unit lattice
-#
-# With radius ru/rv, all coordinates are scaled by 2*rv: the raster center
-# (n/2, n/2) becomes (n*rv, n*rv), pixel edges land on even multiples of rv,
-# and the radius becomes 2*ru. Squared distances are then plain integers.
 
-def _scaled(n: int, radius: Fraction | None):
+def _radius(n: int, radius: Fraction | None) -> Fraction:
+    """Radius of the n-circle: n/2 unless overridden."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     r = Fraction(n, 2) if radius is None else Fraction(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    rv = r.denominator
-    return n * rv, 2 * rv, 2 * r.numerator  # center coord, pixel size, radius
+    return r
 
 
 def rasterize_naive(n: int, radius: Fraction | None = None) -> RasterPattern:
     """Mark every pixel the circle of diameter n (or 2*radius) crosses."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cx, step, rr = _scaled(n, radius)
-    rr2 = rr * rr
+    rad = _radius(n, radius)
+    # scaled by 2 * den(rad): the raster center (n/2, n/2) lands on n * den(rad),
+    # pixel edges on even multiples of den(rad), and the radius on 2 * num(rad)
+    cx, step, rr2 = n * rad.denominator, 2 * rad.denominator, (2 * rad.numerator) ** 2
     # per-axis min/max squared distances, identical for rows and columns
     mins, maxs = [0] * (n + 1), [0] * (n + 1)
     for c in range(1, n + 1):
@@ -160,16 +142,21 @@ def rasterize_naive(n: int, radius: Fraction | None = None) -> RasterPattern:
     return RasterPattern(n, NAIVE, bits)
 
 
-def _inside_matrix(n: int, radius: Fraction | None) -> list[list[bool]]:
-    cx, step, rr = _scaled(n, radius)
-    rr2 = rr * rr
-    # pixel center (c - 1/2) scaled: (2c - 1) * step / 2; step is even here
-    half = step // 2
-    d2 = [0] * (n + 1)
-    for c in range(1, n + 1):
-        d = (2 * c - 1) * half - cx
-        d2[c] = d * d
-    return [[d2[c] + d2[r] <= rr2 for c in range(1, n + 1)] for r in range(1, n + 1)]
+def _inside(width: int, height: int, a: Fraction, b: Fraction) -> list[list[bool]]:
+    """Rows of cells whose centers satisfy x**2/a**2 + y**2/b**2 <= 1, with
+    (x, y) measured from the raster center.
+
+    Cell (row k, column c), 1-indexed, is centered at odd multiples of 1/2:
+    x = (2c - 1 - width) / 2 and y = (2k - 1 - height) / 2. With a = p/q and
+    b = r/s, x**2/a**2 = (2c-1-width)**2 q**2 / (4 p**2) and likewise for y;
+    multiplying the test by 4 (p r)**2 > 0 gives the integer test
+    (2c-1-width)**2 (q r)**2 + (2k-1-height)**2 (s p)**2 <= 4 (p r)**2.
+    """
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    qr2, sp2, bound = (q * r) ** 2, (s * p) ** 2, 4 * (p * r) ** 2
+    xs = [(2 * c - 1 - width) ** 2 * qr2 for c in range(1, width + 1)]
+    ys = [(2 * k - 1 - height) ** 2 * sp2 for k in range(1, height + 1)]
+    return [[x <= bound - y for x in xs] for y in ys]
 
 
 def _boundary_ring(inside: list[list[bool]]) -> list[int]:
@@ -195,10 +182,8 @@ def rasterize_center(n: int, radius: Fraction | None = None) -> RasterPattern:
     A pixel gets a 1 when it is inside and touches the outside: one of its
     4-neighbors is outside, or it sits on the raster border.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    inside = _inside_matrix(n, radius)
-    return RasterPattern(n, CENTER, _boundary_ring(inside))
+    r = _radius(n, radius)
+    return RasterPattern(n, CENTER, _boundary_ring(_inside(n, n, r, r)))
 
 
 def rasterize_ellipse(semi_axis_a, semi_axis_b, width: int, height: int) -> BitRaster:
@@ -211,17 +196,7 @@ def rasterize_ellipse(semi_axis_a, semi_axis_b, width: int, height: int) -> BitR
     if a > Fraction(width, 2) or b > Fraction(height, 2):
         raise EllipseOutOfRaster(
             f"ellipse {a} x {b} exceeds raster {width} x {height}")
-    cx, cy = Fraction(width, 2), Fraction(height, 2)
-    a2, b2 = a * a, b * b
-
-    def is_inside(x: int, y: int) -> bool:
-        dx = Fraction(2 * x - 1, 2) - cx
-        dy = Fraction(2 * y - 1, 2) - cy
-        return dx * dx / a2 + dy * dy / b2 <= 1
-
-    inside = [[is_inside(x, y) for x in range(1, width + 1)]
-              for y in range(1, height + 1)]
-    return BitRaster(width, height, _boundary_ring(inside))
+    return BitRaster(width, height, _boundary_ring(_inside(width, height, a, b)))
 
 
 def corner_crossed(n: int) -> bool:
@@ -321,15 +296,11 @@ class SymmetryReport:
 
 
 def check_symmetries(pattern: RasterPattern) -> SymmetryReport:
-    n, bits = pattern.n, pattern.bits
-    palindrome = bits == bits[::-1]
-    transpose = all(bits[r * n + c] == bits[c * n + r]
-                    for r in range(n) for c in range(r + 1, n))
-    row_mirror = all(bits[r * n + c] == bits[r * n + (n - 1 - c)]
-                     for r in range(n) for c in range(n // 2))
-    column_mirror = all(bits[r * n + c] == bits[(n - 1 - r) * n + c]
-                        for r in range(n // 2) for c in range(n))
-    return SymmetryReport(palindrome, transpose, row_mirror, column_mirror)
+    bits, rows = pattern.bits, pattern.rows()
+    return SymmetryReport(palindrome=bits == bits[::-1],
+                          transpose=rows == list(zip(*rows)),
+                          row_mirror=all(row == row[::-1] for row in rows),
+                          column_mirror=rows == rows[::-1])
 
 
 def _octant_cells(n: int) -> list[tuple[int, int]]:

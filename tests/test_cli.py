@@ -256,6 +256,14 @@ class TestUsageErrors:
         (("normality", "--constant", "pi", "--length", "0"), "error: count must be >= 1"),
         (("ellipse", "-a", "0", "-b", "3", "--width", "8", "--height", "6"),
          "error: semi-axes must be positive"),
+        (("ellipse", "-a", "4", "-b", "3", "--width", "0", "--height", "6"),
+         "width and height must be in 1..4096"),
+        (("ellipse", "-a", "4", "-b", "3", "--width", "4097", "--height", "6"),
+         "width and height must be in 1..4096"),
+        (("ellipse", "-a", "4", "-b", "3", "--width", "8", "--height", "0"),
+         "width and height must be in 1..4096"),
+        (("ellipse", "-a", "4", "-b", "3", "--width", "8", "--height", "4097"),
+         "width and height must be in 1..4096"),
     ])
     def test_bad_argument_exits_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

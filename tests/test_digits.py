@@ -533,17 +533,12 @@ class TestGrowingSources:
         total = 3000 if spec.kind == "log2" else 6000
         for base in (2, 10, 11, 256):
             whole = digits_in_base(spec, base, total).data
-            # with guard 1 every call retries, so retries follow extensions;
-            # in base 2 its four tries fail about 1 call in 100
+            # with guard 1 most calls retry, so retries follow extensions
             for guard in (1, DEFAULT_GUARD):
                 digits, done, got = _computed(spec, base, guard), 0, b""
                 while done < total:
                     count = done + rng.choice((1, 7, rng.randint(1, 2 * done + 64)))
-                    try:
-                        got += digits(count, done)
-                    except PrecisionExhausted:
-                        assert guard == 1
-                        continue
+                    got += digits(count, done)
                     done = count
                 assert got[:total] == whole, (base, guard)
 
@@ -708,6 +703,30 @@ class TestCertifier:
     def test_upper_end_of_band(self):
         assert self.certify(lambda band: band - 1 - 2) == (None, [2, 4, 8, 16])
         assert self.certify(lambda band: band - 1 - 3) == ([1, 2, 3], [2])
+
+    @pytest.mark.parametrize("guard, first", [(0, 3), (1, 3), (3, 3), (4, 4)])
+    def test_guard_starts_where_a_band_can_certify(self, guard, first):
+        # in base 2 with err = 2 the bands 2**1 and 2**2 cannot certify, 2**3 can
+        calls = []
+
+        def scaled(prec):
+            g = prec - 3
+            calls.append(g)
+            return 5 * 2 ** g + 2 ** (g - 1), 2
+
+        assert _certify(scaled, 2, 3, guard, "test digits") == [1, 0, 1]
+        assert calls == [first]
+
+    @pytest.mark.parametrize("spec", (PI, ConstantSpec.e(), ConstantSpec.sqrt2()),
+                             ids=ConstantSpec.identifier)
+    def test_small_guards_certify_in_base_2(self, spec):
+        rng = random.Random(spec.kind)
+        whole = digits_in_base(spec, 2, 4000, guard=DEFAULT_GUARD).data
+        for guard in (0, 1):
+            for _ in range(400):
+                count = rng.randint(1, 4000)
+                assert digits_in_base(spec, 2, count, guard=guard).data == whole[:count], \
+                    (guard, count)
 
     def test_done_digits_are_not_returned(self):
         scaled = lambda prec: (123 * 10 ** (prec - 3) + 5 * 10 ** (prec - 5), 2)

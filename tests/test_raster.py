@@ -1,6 +1,7 @@
 """Raster tests: printed reference patterns, exact-threshold behavior, and
 brute-force oracles recomputed here with Fraction arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from sagan.raster import (
     BitRaster,
     GeneralizedPattern,
     RasterPattern,
+    SymmetryReport,
     centered_one_radius_bounds,
     check_symmetries,
     chessboard_counts_brute,
@@ -32,28 +34,48 @@ from sagan.errors import (
 )
 
 
-def center_scheme_oracle(n: int) -> list[int]:
-    """Independent Fraction-based recomputation of the center-boundary scheme."""
-    r = Fraction(n, 2)
-    cx = Fraction(n, 2)
-
-    def inside(x, y):
-        dx = Fraction(2 * x - 1, 2) - cx
-        dy = Fraction(2 * y - 1, 2) - cx
-        return dx * dx + dy * dy <= r * r
+def ring_oracle(a, b, width: int, height: int) -> list[int]:
+    """Center-boundary bits of the ellipse x**2/a**2 + y**2/b**2 <= 1 by an
+    independent per-cell Fraction test of each cell center."""
+    a, b = Fraction(a), Fraction(b)
+    cx, cy = Fraction(width, 2), Fraction(height, 2)
+    inside = {}
+    for y in range(1, height + 1):
+        for x in range(1, width + 1):
+            dx = Fraction(2 * x - 1, 2) - cx
+            dy = Fraction(2 * y - 1, 2) - cy
+            inside[x, y] = dx * dx / (a * a) + dy * dy / (b * b) <= 1
 
     bits = []
-    for row in range(1, n + 1):
-        for col in range(1, n + 1):
-            if not inside(col, row):
+    for row in range(1, height + 1):
+        for col in range(1, width + 1):
+            if not inside[col, row]:
                 bits.append(0)
                 continue
-            edge = row in (1, n) or col in (1, n)
+            edge = row in (1, height) or col in (1, width)
             ring = edge or not all(
-                inside(col + dc, row + dr)
+                inside[col + dc, row + dr]
                 for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)))
             bits.append(1 if ring else 0)
     return bits
+
+
+def center_scheme_oracle(n: int, radius=None) -> list[int]:
+    r = Fraction(n, 2) if radius is None else radius
+    return ring_oracle(r, r, n, n)
+
+
+def symmetry_oracle(pattern) -> SymmetryReport:
+    """The four symmetries by per-cell comparisons."""
+    n, bits = pattern.n, pattern.bits
+    palindrome = bits == bits[::-1]
+    transpose = all(bits[r * n + c] == bits[c * n + r]
+                    for r in range(n) for c in range(r + 1, n))
+    row_mirror = all(bits[r * n + c] == bits[r * n + (n - 1 - c)]
+                     for r in range(n) for c in range(n // 2))
+    column_mirror = all(bits[r * n + c] == bits[(n - 1 - r) * n + c]
+                        for r in range(n // 2) for c in range(n))
+    return SymmetryReport(palindrome, transpose, row_mirror, column_mirror)
 
 
 class TestNaiveScheme:
@@ -92,6 +114,15 @@ class TestCenterScheme:
     def test_five_by_five_ring(self):
         assert rasterize_center(5).flat() == "0111010001100011000101110"
 
+    def test_radius_overrides_against_fraction_oracle(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n, den = rng.randint(1, 24), rng.randint(1, 12)
+            # up to 3n/2, so radii past n/2 cut the circle at the raster border
+            radius = Fraction(rng.randint(1, 3 * n * den), 2 * den)
+            assert list(rasterize_center(n, radius).bits) == \
+                center_scheme_oracle(n, radius), (n, radius)
+
     def test_alternative_diameter_radius(self):
         # diameter n-1 reading: only the central 2x2 block is inside
         pattern = rasterize_center(4, Fraction(3, 2))
@@ -109,26 +140,35 @@ class TestEllipse:
         assert rasterize_ellipse(Fraction(1, 2), Fraction(1, 2), 1, 1).flat() == "1"
 
     def test_four_by_three_instance_against_oracle(self):
-        a, b, w, h = Fraction(4), Fraction(3), 8, 6
-        raster = rasterize_ellipse(a, b, w, h)
+        assert list(rasterize_ellipse(4, 3, 8, 6).bits) == ring_oracle(4, 3, 8, 6)
 
-        def inside(x, y):
-            dx = Fraction(2 * x - 1, 2) - Fraction(w, 2)
-            dy = Fraction(2 * y - 1, 2) - Fraction(h, 2)
-            return dx * dx / (a * a) + dy * dy / (b * b) <= 1
+    @pytest.mark.parametrize("a, b, width, height", [
+        (Fraction(7, 3), Fraction(5, 2), 8, 5),
+        (Fraction(7, 3), Fraction(3, 2), 5, 8),
+        (Fraction(9, 2), Fraction(7, 3), 9, 6),
+        (Fraction(11, 7), Fraction(13, 5), 4, 7),
+        (Fraction(1, 3), Fraction(1, 5), 1, 2),
+    ])
+    def test_fixed_instances_against_oracle(self, a, b, width, height):
+        assert list(rasterize_ellipse(a, b, width, height).bits) == \
+            ring_oracle(a, b, width, height)
 
-        expected = []
-        for row in range(1, h + 1):
-            for col in range(1, w + 1):
-                if not inside(col, row):
-                    expected.append(0)
-                    continue
-                edge = row in (1, h) or col in (1, w)
-                ring = edge or not all(
-                    inside(col + dc, row + dr)
-                    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)))
-                expected.append(1 if ring else 0)
-        assert list(raster.bits) == expected
+    def test_random_instances_against_oracle(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            width, height = rng.sample(range(1, 25), 2)  # width != height
+
+            def semi_axis(side):
+                if rng.random() < 0.25:
+                    return Fraction(side, 2)  # touches the raster edge
+                den = rng.randint(1, 12)
+                return Fraction(rng.randint(1, side * den // 2 or 1), den)
+
+            a, b = semi_axis(width), semi_axis(height)
+            if a > Fraction(width, 2) or b > Fraction(height, 2):
+                continue
+            assert list(rasterize_ellipse(a, b, width, height).bits) == \
+                ring_oracle(a, b, width, height), (a, b, width, height)
 
     def test_out_of_raster(self):
         with pytest.raises(EllipseOutOfRaster):
@@ -200,6 +240,37 @@ class TestSymmetries:
         assert not report.row_mirror
         assert not report.column_mirror
         assert not report.all_hold
+
+    def test_against_per_cell_oracle(self):
+        rng = random.Random(3)
+        seen = set()
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            if rng.random() < 0.5:
+                bits = [rng.randint(0, 1) for _ in range(n * n)]
+                grid = [bits[r * n:(r + 1) * n] for r in range(n)]
+                # impose a random subset of the symmetries so each occurs
+                if rng.random() < 0.5:
+                    grid = [[grid[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+                if rng.random() < 0.5:
+                    grid = [row[:(n + 1) // 2] + row[:n // 2][::-1] for row in grid]
+                if rng.random() < 0.5:
+                    grid = grid[:(n + 1) // 2] + grid[:n // 2][::-1]
+                bits = [b for row in grid for b in row]
+                if rng.random() < 0.25:
+                    bits = bits[:(n * n + 1) // 2] + bits[:n * n // 2][::-1]
+            else:
+                octant = [rng.randint(0, 1) for _ in range(octant_cell_count(n))]
+                bits = list(reconstruct_from_octant(octant, n).bits)
+                if rng.random() < 0.5:  # break the symmetry in one cell
+                    bits[rng.randrange(n * n)] ^= 1
+            pattern = RasterPattern(n, "center", bits)
+            report = check_symmetries(pattern)
+            assert report == symmetry_oracle(pattern), bits
+            seen.add(report)
+        # every combination the dihedral group allows: two mirrors imply the
+        # palindrome (a half turn), and the transpose with one mirror the other
+        assert len(seen) == 8, seen
 
     def test_single_bit_pattern(self):
         for bit in (0, 1):
@@ -275,3 +346,33 @@ class TestRendering:
         raster = BitRaster(2, 1, [1, 0])
         assert raster.ascii() == "#."
         assert raster.flat() == "10"
+        assert raster.rows() == [(1, 0)]
+        assert raster.ascii(frame=True) == "....\n.#..\n...."
+
+
+class TestBitRaster:
+    def test_rejects_bits_other_than_zero_and_one(self):
+        for bad in ([1, 2], [0, -1]):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                BitRaster(2, 1, bad)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 6 bits, got 5"):
+            BitRaster(3, 2, [0] * 5)
+
+    def test_bit_out_of_range_raises(self):
+        raster = BitRaster(3, 2, [1, 0, 0, 0, 0, 1])
+        assert raster.bit(1, 1) == 1 and raster.bit(2, 3) == 1
+        for row, col in ((0, 1), (1, 0), (3, 1), (1, 4), (2, -1)):
+            with pytest.raises(IndexError):
+                raster.bit(row, col)
+        column = BitRaster(1, 3, [0, 0, 1])
+        assert column.bit(3, 1) == 1
+        with pytest.raises(IndexError):
+            column.bit(1, 2)  # inside the flat tuple, outside the raster
+
+    def test_pattern_is_a_square_raster(self):
+        pattern = rasterize_center(5)
+        assert isinstance(pattern, BitRaster)
+        assert (pattern.width, pattern.height) == (5, 5)
+        assert pattern.ascii(frame=True).splitlines()[1] == "..###.."
