@@ -1,32 +1,170 @@
 """The big-integer backend: the one module that decides between gmpy2 and int.
 
-With gmpy2 installed, `mpz` and `isqrt` are gmpy2's and `divmod` is the
-builtin, which gmpy2 makes subquadratic for mpz operands. Without it,
-`mpz` is `int`, and since CPython's int division and `math.isqrt` are
-quadratic, `divmod` and `isqrt` are exact pure-Python replacements that
-reduce to multiplication (Karatsuba in CPython):
+With gmpy2 installed, `mpz` and `isqrt` are gmpy2's and `divmod` and `mul`
+are the builtin operators, which gmpy2 makes subquadratic for mpz operands.
+Without it, `mpz` is `int`, and since CPython's int multiplication is
+Karatsuba and its division and `math.isqrt` are quadratic, `mul`, `divmod`
+and `isqrt` are exact pure-Python replacements:
 
+- `py_mul`: a float64 FFT product once both operands have at least
+  `_MUL_LIMIT` bits, with transforms of at most `_MAX_POINTS` points and
+  one Karatsuba level per halving above that (see the error bound below);
+  every large product in the series, the square roots, the divisions and
+  the radix conversion goes through `mul`;
 - `py_divmod`: recursive division (Burnikel & Ziegler 1998; Brent &
   Zimmermann, *Modern Computer Arithmetic*, 1.4.3), same results as the
-  builtin for every sign;
+  builtin for every sign, its products taken by `py_mul`;
 - `py_isqrt`: recursive integer square root, one Newton step per level
   with its division done by `py_divmod`, same results as `math.isqrt`.
 
-Both leave small cases to the builtins: divisions whose quotient or divisor
-has at most `_DIV_LIMIT` bits, which then cost time linear in the operand
-size, and square roots of at most 2 * `_DIV_LIMIT` bits. Timed on CPython
-3.11.7 (x86, 2 vCPU), 2n-by-n-bit divisions run as fast as the builtin's
-near the limit for any limit from 2000 to 6000 bits, and 8x faster at
-n = 10**6.
+The FFT product's cutoff and cap were timed on CPython 3.11.7 (x86,
+2 vCPU). Below about 16 kbit Karatsuba is as fast. The cap keeps each
+transform's arrays at 256 kB: on pi, e and sqrt 2 at 10**5 digits, 2**16
+points ran 5-7% faster and raised peak memory by a further 0.9-1.2 MB, and
+2**14 points saved about 0.6 MB and ran 3-9% slower. The FFT module is
+imported at the first transform, so a run whose products all stay below
+the cutoff never loads it.
+
+The division and square root leave small cases to the builtins: divisions
+whose quotient or divisor has at most `_DIV_LIMIT` bits, which then cost
+time linear in the operand size, and square roots of at most
+2 * `_DIV_LIMIT` bits. Timed on CPython 3.11.7 (x86, 2 vCPU), 2n-by-n-bit
+divisions run as fast as the builtin's near the limit for any limit from
+2000 to 6000 bits, and 8x faster at n = 10**6.
 """
 
 from __future__ import annotations
 
 import builtins
 import math
+import operator
 
 _DIV_LIMIT = 4000
 _divmod = builtins.divmod
+
+# Float-FFT multiplication (Brent & Zimmermann, *Modern Computer Arithmetic*,
+# 3.3.2; Percival, Math. Comp. 72 (2003), Theorem 5.1). Operands a, b >= 0
+# are cut into la and lb limbs of w = _LIMB_BITS bits, and the limbs of
+# a * b before carries are the acyclic convolution c_k = sum_{i+j=k} x_i y_j,
+# here the cyclic convolution irfft(rfft(x) * rfft(y)) of N = 2**n >=
+# la + lb - 1 points. Percival bounds the error of every computed c_k by
+#     ||x|| ||y|| ((1 + eps)^(3n) (1 + eps sqrt(5))^(3n+1) (1 + beta)^(3n) - 1)
+# for unit roundoff eps = 2**-53 and roots of unity within beta of exact;
+# pocketfft's twiddles are within a few units of eps, and beta = 2 eps is
+# taken. Every limb is below 2**w, so ||x|| ||y|| <= sqrt(la lb) (2**w - 1)**2,
+# and la + lb <= N + 1 gives sqrt(la lb) <= (N + 1) / 2. fft_error_bound
+# evaluates this. At w = 12 and N = _MAX_POINTS = 2**15 it is 2**-7.1: under
+# 1/4, so rint returns every c_k exactly, with a factor 2 to spare for the
+# real-input transforms used here, which the theorem (stated for the complex
+# radix-2 transform) does not cover term by term. 16-bit limbs at the same N
+# give 2**0.9, and 12-bit limbs pass 1/4 at 2**20 points. The exact c_k are
+# below (N/2) 2**(2w) = 2**38, so float64 holds them.
+_MUL_LIMIT = 16_000
+_LIMB_BITS = 12
+_MAX_POINTS = 1 << 15
+
+
+def fft_error_bound(limb_bits: int, points: int) -> float:
+    """Percival's bound on the error of any convolution coefficient computed
+    by float64 transforms of `points` = 2**n points from limbs of
+    `limb_bits` bits (derived in the comment above)."""
+    n = points.bit_length() - 1
+    eps = 2.0 ** -53
+    growth = math.expm1(3 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
+                        + 3 * n * math.log1p(2 * eps))
+    return (points + 1) / 2 * ((1 << limb_bits) - 1) ** 2 * growth
+
+
+def py_mul(a, b):
+    """a * b for ints, by float-FFT products when both operands have at
+    least _MUL_LIMIT bits."""
+    if a.bit_length() < _MUL_LIMIT or b.bit_length() < _MUL_LIMIT:
+        return a * b
+    square = a is b
+    negative = (a < 0) != (b < 0)
+    a = abs(a)
+    p = _mul_pos(a, a if square else abs(b))
+    return -p if negative else p
+
+
+def _mul_pos(a, b):
+    """a * b for a, b >= 0, `a is b` for a square: one transform product
+    when it fits in _MAX_POINTS points, else one Karatsuba level."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    la, lb = a.bit_length(), b.bit_length()
+    if lb < _MUL_LIMIT:
+        return a * b
+    if 2 * (-(-la // 24) + -(-lb // 24)) - 1 <= _MAX_POINTS:  # the limbs _fft_mul cuts
+        return _fft_mul(a, b)
+    k = la // 2
+    mask = (1 << k) - 1
+    a1, a0 = a >> k, a & mask
+    if lb <= k:  # b fits in one half: two products, no middle term
+        return (_mul_pos(a1, b) << k) + _mul_pos(a0, b)
+    b1, b0 = (a1, a0) if b is a else (b >> k, b & mask)
+    sa = a1 + a0
+    sb = sa if b is a else b1 + b0
+    hi, lo = _mul_pos(a1, b1), _mul_pos(a0, b0)
+    return (hi << 2 * k) + ((_mul_pos(sa, sb) - hi - lo) << k) + lo
+
+
+def _fft_mul(a, b):
+    """a * b for a, b > 0 whose limbs fit one transform of _MAX_POINTS."""
+    import numpy as np  # numpy.fft itself loads at the first np.fft access
+
+    la, lb = 2 * -(-a.bit_length() // 24), 2 * -(-b.bit_length() // 24)
+    points = 1 << (la + lb - 2).bit_length()  # the least 2**n >= la + lb - 1
+
+    def transform(v):
+        # 12-bit limbs, least significant first, two per 3-byte cell; each
+        # cell is read as the low 24 bits of a 4-byte word at stride 3
+        raw = v.to_bytes(3 * -(-v.bit_length() // 24) + 1, "little")
+        cells = np.ndarray((len(raw) // 3,), "<u4", raw, strides=(3,))
+        x = np.empty(2 * len(cells))
+        x[0::2] = cells & 0xFFF
+        x[1::2] = cells >> 12 & 0xFFF
+        return np.fft.rfft(x, points)  # zero padded to `points` inside the transform
+
+    def join(cells):  # the int whose 3-byte cells hold values below 2**24
+        out = np.empty(3 * len(cells), np.uint8)
+        np.ndarray((len(cells),), "<u2", out, strides=(3,))[...] = cells & 0xFFFF
+        out[2::3] = cells >> 16
+        return int.from_bytes(out, "little")
+
+    # in place where possible, and each array dropped once used: at the cap
+    # every array is 128-256 kB, and they add up to the peak memory of a run
+    f = transform(a)
+    f *= f if b is a else transform(b)
+    c = np.fft.irfft(f, points)
+    del f
+    np.rint(c, out=c)
+    # c_k < 2**38 sits at bit 12k, so d_m = c_2m + c_2m+1 * 2**12 < 2**51 (exact
+    # in float64) sits at bit 24m. Folding each d_m's bits 24-47 and 48-50
+    # into the next two cells leaves s_m < 2**25 + 2**3, and folding s_m's
+    # carry leaves s_m < 2**24 + 2: the same sum, in cells that all but
+    # rarely fit in 24 bits. The product is below 2**(12 (la + lb)), so
+    # cells from (la + lb) / 2 on are 0 and nothing folds into them.
+    d = c[1:la + lb:2] * 4096
+    d += c[0:la + lb:2]
+    del c
+    d = d.astype(np.uint64)
+    s = d & 0xFFFFFF
+    d >>= 24
+    s[1:] += d[:-1] & 0xFFFFFF
+    d >>= 24
+    s[2:] += d[:-2]
+    del d
+    carry = s >> 24
+    s &= 0xFFFFFF
+    s[1:] += carry[:-1]
+    del carry
+    over = s >> 24
+    s &= 0xFFFFFF
+    value = join(s)
+    if over.any():
+        value += join(over) << 24
+    return value
 
 
 def py_divmod(a, b):
@@ -82,7 +220,7 @@ def _div3n2n(a_hi, a_lo, b, b_hi, b_lo, half):
     else:
         q, r = _div2n1n(a_hi, b_hi, half)
     # q overestimates the quotient by at most 2 because b's top bit is set
-    r = ((r << half) | a_lo) - q * b_lo
+    r = ((r << half) | a_lo) - py_mul(q, b_lo)
     while r < 0:
         q -= 1
         r += b
@@ -92,7 +230,7 @@ def _div3n2n(a_hi, a_lo, b, b_hi, b_lo, half):
 def py_isqrt(n):
     """math.isqrt(n) for ints, by recursion on the top half of n's bits."""
     x = _isqrt_upper(n)
-    return x - 1 if x * x > n else x
+    return x - 1 if py_mul(x, x) > n else x
 
 
 def _isqrt_upper(n):
@@ -114,7 +252,9 @@ def _isqrt_upper(n):
 try:
     from gmpy2 import isqrt, mpz
     divmod = _divmod
+    mul = operator.mul
 except ImportError:
     mpz = int
     divmod = py_divmod
+    mul = py_mul
     isqrt = py_isqrt

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arith
-from ._arith import mpz
-from .digits import _SERIES_ERR, DigitBlock, _certify, _split, int_to_digits
+from ._arith import mpz, mul
+from .digits import _SERIES_ERR, DigitBlock, _certify, _split, int_to_digit_bytes
 from .errors import CarryAmbiguity
 
 
@@ -85,7 +85,7 @@ def _evaluate_scaled(formula: BBPFormula, prec: int):
         extra += 1
     _, q, b, t = _split(lambda k: (1, base if k else 1, *_term(formula, k)),
                         0, top + extra)
-    return _arith.divmod(mpz(base) ** top * t, b * q)[0], _SERIES_ERR
+    return _arith.divmod(mul(mpz(base) ** top, t), mul(b, q))[0], _SERIES_ERR
 
 
 def evaluate(formula: BBPFormula, digit_count: int, guard: int = 12) -> DigitBlock:
@@ -186,7 +186,7 @@ def _extract_attempt(formula: BBPFormula, position: int, count: int, guard_bits:
     margin = err * (mpz(base) ** count) * 256
     if not margin <= rem < mod - margin:
         return None
-    return int_to_digits(int(digits_scaled % (mpz(base) ** count)), base, count)
+    return int_to_digit_bytes(digits_scaled % mpz(base) ** count, base, count)
 
 
 def digit_extract(formula: BBPFormula, position: int, count: int) -> DigitBlock:

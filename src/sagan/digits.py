@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _arith
-from ._arith import isqrt, mpz
+from ._arith import isqrt, mpz, mul
 from .errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -213,14 +213,14 @@ def _digit_bytes(digits, base: int) -> bytes:
 # integer <-> digit vector conversion (divide and conquer)
 
 def _powers(base: int):
-    """power(e) = base**e, by squaring, memoized in one table per call."""
+    """power(e) = base**e, by squaring with mul, memoized in one table per call."""
     table = {0: mpz(1), 1: mpz(base)}
 
     def power(e: int):
         v = table.get(e)
         if v is None:
             half = power(e // 2)
-            v = table[e] = half * half * (base if e % 2 else 1)
+            v = table[e] = mul(half, half) * (base if e % 2 else 1)
         return v
 
     return power
@@ -237,7 +237,7 @@ def digits_to_int(digits: Sequence[int], base: int):
                 acc = acc * base + digits[i]
             return acc
         mid = (lo + hi) // 2
-        return build(lo, mid) * power(hi - mid) + build(mid, hi)
+        return mul(build(lo, mid), power(hi - mid)) + build(mid, hi)
 
     return build(0, len(digits))
 
@@ -247,29 +247,54 @@ def int_to_digits(value, base: int, count: int) -> list[int]:
 
     Requires 0 <= value < base**count; the result is zero padded on the left.
     """
+    return list(int_to_digit_bytes(value, base, count))
+
+
+def int_to_digit_bytes(value, base: int, count: int) -> bytes:
+    """int_to_digits as bytes, one byte per digit.
+
+    A power-of-two base reads the digits off the bits of `value`. Any other
+    base splits `value` by divisions by powers of base**k into leaves below
+    base**k, k the largest with base**k < 2**63, and takes the k digits of
+    every leaf in one pass of uint64 divisions.
+    """
     if value < 0:
         raise ValueError("value must be non-negative")
-    power = _powers(base)
-    out: list[int] = []
+    if base & (base - 1) == 0:
+        width = base.bit_length() - 1
+        if value.bit_length() > width * count:
+            raise ValueError("value does not fit in count digits")
+        raw = np.frombuffer(int(value).to_bytes(-(-width * count // 8), "big"), np.uint8)
+        bits = np.unpackbits(raw)[len(raw) * 8 - width * count:].reshape(count, width)
+        return (np.packbits(bits, axis=1) >> (8 - width)).tobytes()
+    k = 1
+    while base ** (k + 1) < 2 ** 63:
+        k += 1
+    power = _powers(base ** k)
+    leaves: list[int] = []
 
-    def emit(v, n: int):
-        if n <= 64:
-            small: list[int] = []
-            for _ in range(n):
-                v, d = divmod(v, base)
-                small.append(int(d))
-            small.reverse()
-            out.extend(small)
+    def split(v, blocks: int):
+        if blocks == 1:
+            leaves.append(int(v))
             return
-        lo_n = n // 2
-        hi, lo = _arith.divmod(v, power(lo_n))
-        emit(hi, n - lo_n)
-        emit(lo, lo_n)
+        lo_blocks = blocks // 2
+        hi, lo = _arith.divmod(v, power(lo_blocks))
+        split(hi, blocks - lo_blocks)
+        split(lo, lo_blocks)
 
-    if value >= power(count):
+    blocks = max(1, -(-count // k))
+    split(mpz(value), blocks)
+    # value < base**(k * blocks) exactly when the top leaf is below base**k
+    if leaves[0] >= base ** k:
         raise ValueError("value does not fit in count digits")
-    emit(mpz(value), count)
-    return out
+    q = np.array(leaves, dtype=np.uint64)
+    out = np.empty((blocks, k), np.uint8)
+    for i in reversed(range(k)):
+        q, out[:, i] = np.divmod(q, base)
+    data = out.tobytes()
+    if data[:k * blocks - count].strip(b"\0"):
+        raise ValueError("value does not fit in count digits")
+    return data[k * blocks - count:]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +316,7 @@ _SERIES_ERR = 2
 
 def _combine(left, right):  # (P, Q, B, T) of two adjacent ranges, left first
     (p1, q1, b1, t1), (p2, q2, b2, t2) = left, right
-    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+    return mul(p1, p2), mul(q1, q2), mul(b1, b2), mul(mul(b2, q2), t1) + mul(mul(b1, p1), t2)
 
 
 def _split(term, lo: int, hi: int):
@@ -328,11 +353,11 @@ def _root(c: int, base: int):
 
     def root(prec: int, scale):
         nonlocal prec0, r
-        n = c * scale * scale
+        n = c * mul(scale, scale)
         if prec0 <= prec <= 2 * prec0:
-            x = (r + 1) * mpz(base) ** (prec - prec0)
+            x = mul(r + 1, _powers(base)(prec - prec0))
             x = (x + _arith.divmod(n, x)[0]) >> 1
-            r = x - (x * x > n)
+            r = x - (mul(x, x) > n)
         else:
             r = isqrt(n)
         prec0 = prec
@@ -355,9 +380,9 @@ def _pi_source(base: int):
 
     def scaled(prec: int):
         _, q, _, t = series(max(2, int(prec * math.log10(base) / 14) + 2))
-        scale = mpz(base) ** prec
+        scale = _powers(base)(prec)
         s = max(0, t.bit_length() - scale.bit_length() - 28)
-        x = _arith.divmod(426880 * (q >> s) * root(prec, scale), t >> s)[0]
+        x = _arith.divmod(mul(426880 * (q >> s), root(prec, scale)), t >> s)[0]
         return x - 3 * scale, _SERIES_ERR
     return scaled
 
@@ -366,7 +391,7 @@ def _sqrt2_source(base: int):
     root = _root(2, base)
 
     def scaled(prec: int):
-        scale = mpz(base) ** prec
+        scale = _powers(base)(prec)
         return root(prec, scale) - scale, 1
     return scaled
 
@@ -375,15 +400,23 @@ def _e_source(base: int):
     # e = sum_k 1/k!; the tail past N terms is below 2/N!, and N! > 2 * scale
     # once lgamma(N + 1) clears ln(scale) + 1 (ln 2 plus float slack)
     series = _series(lambda k: (1, k or 1, 1, 1))
+    terms = 2  # the last call's term count; later calls search up from it
 
     def scaled(prec: int):
+        nonlocal terms
         target = prec * math.log(base) + 1
-        terms = 2
-        while math.lgamma(terms + 1) <= target:
+        if math.lgamma(terms + 1) <= target:  # gallop up, then bisect
+            step = 1
+            while math.lgamma(terms + step + 1) <= target:
+                terms, step = terms + step, 2 * step
+            while step > 1:  # lgamma(terms + 1) <= target < lgamma(terms + step + 1)
+                step //= 2
+                if math.lgamma(terms + step + 1) <= target:
+                    terms += step
             terms += 1
         _, q, _, t = series(terms)
-        scale = mpz(base) ** prec
-        return _arith.divmod(scale * t, q)[0] - 2 * scale, _SERIES_ERR
+        scale = _powers(base)(prec)
+        return _arith.divmod(mul(scale, t), q)[0] - 2 * scale, _SERIES_ERR
     return scaled
 
 
@@ -394,14 +427,14 @@ def _log2_source(base: int):
 
     def scaled(prec: int):
         _, q, b, t = series(int(prec * math.log(base) / math.log(9)) + 2)
-        return _arith.divmod(2 * mpz(base) ** prec * t, 3 * b * q)[0], _SERIES_ERR
+        return _arith.divmod(mul(2 * _powers(base)(prec), t), mul(3 * b, q))[0], _SERIES_ERR
     return scaled
 
 
 _SOURCES = {PI: _pi_source, SQRT2: _sqrt2_source, E: _e_source, LOG2: _log2_source}
 
 
-def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0) -> list[int]:
+def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0) -> bytes:
     """Digits done+1..count of X // base**g, X, err = scaled(count + g), once
     X mod base**g is more than err from both ends of the band, so that no
     value within err of X carries into them; g doubles, four tries.
@@ -418,8 +451,8 @@ def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0
         rem = x % band
         margin = err + 1
         if margin <= rem < band - margin:
-            return int_to_digits(_arith.divmod(x // band, mpz(base) ** (count - done))[1],
-                                 base, count - done)
+            return int_to_digit_bytes(_arith.divmod(x // band, _powers(base)(count - done))[1],
+                                      base, count - done)
         g *= 2
     raise PrecisionExhausted(f"could not certify {what}")
 
@@ -491,7 +524,7 @@ def _concat_chunks(spec: ConstantSpec) -> Iterator[bytes]:
                 width = int(f.bit_length() * math.log10(2)) + 1
                 while mpz(10) ** width <= f:
                     width += 1
-                yield bytes(int_to_digits(f, 10, width)).lstrip(b"\0")
+                yield int_to_digit_bytes(f, 10, width).lstrip(b"\0")
     else:
         raise UnsupportedConstant(f"{spec.kind} is not a concatenation constant")
 
@@ -571,10 +604,10 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         if (q_prev and q_cur.bit_length() + q_prev.bit_length() >= bound_bits
                 and q_cur * q_prev > bound):
-            lo = _arith.divmod((p_cur - a0 * q_cur) * scale, q_cur)[0]
-            hi = _arith.divmod((p_prev - a0 * q_prev) * scale, q_prev)[0]
+            lo = _arith.divmod(mul(p_cur - a0 * q_cur, scale), q_cur)[0]
+            hi = _arith.divmod(mul(p_prev - a0 * q_prev, scale), q_prev)[0]
             if lo == hi:
-                return DigitBlock(base, 1, int_to_digits(lo, base, count))
+                return DigitBlock(base, 1, int_to_digit_bytes(lo, base, count))
     else:
         raise PrecisionExhausted("convergents did not certify the digits")
     num = p_cur - a0 * q_cur
@@ -597,12 +630,12 @@ def _ceil_digits_needed(out_count: int, target_base: int, source_base: int) -> i
 
 
 def _convert_run(src_digits: Sequence[int], src_base: int, used: int,
-                 dst_base: int, out_count: int, upper: bool = False) -> list[int]:
+                 dst_base: int, out_count: int, upper: bool = False) -> bytes:
     """out_count dst_base digits of the fraction src_digits[:used]; with
     `upper`, of the largest value below it plus one unit in its last place."""
     x = digits_to_int(src_digits[:used], src_base) + upper
-    y = _arith.divmod(x * mpz(dst_base) ** out_count - upper, mpz(src_base) ** used)[0]
-    return int_to_digits(y, dst_base, out_count)
+    y = _arith.divmod(mul(x, mpz(dst_base) ** out_count) - upper, mpz(src_base) ** used)[0]
+    return int_to_digit_bytes(y, dst_base, out_count)
 
 
 def base_convert(decimal_fraction, target_base: int, out_count: int,
@@ -658,7 +691,7 @@ def _concat_scaled(spec: ConstantSpec, base: int):
     def scaled(prec: int):
         need = _ceil_digits_needed(prec, base, src)
         x = digits_to_int(concat_constant_digits(spec, need).data, src)
-        return _arith.divmod(x * mpz(base) ** prec, mpz(src) ** need)[0], 2
+        return _arith.divmod(mul(x, mpz(base) ** prec), mpz(src) ** need)[0], 2
 
     return scaled
 
@@ -677,7 +710,7 @@ def _computed(constant: ConstantSpec, base: int, guard: int):
         return lambda count, done: cfrac_digits(fibonacci_numbers(), base, count).data[done:]
     scaled = _SOURCES.get(constant.kind, lambda b: _concat_scaled(constant, b))(base)
     what = f"base-{base} digits of {constant.identifier()}"
-    return lambda count, done: bytes(_certify(scaled, base, count, guard, f"{count} {what}", done))
+    return lambda count, done: _certify(scaled, base, count, guard, f"{count} {what}", done)
 
 
 def digits_in_base(constant: ConstantSpec, base: int, count: int,

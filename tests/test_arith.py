@@ -1,7 +1,7 @@
 """Exactness of the pure-Python big-integer fallback in sagan._arith.
 
 The fallback functions are called directly, so these tests cover them
-whether or not gmpy2 is installed. Oracles are the builtin divmod,
+whether or not gmpy2 is installed. Oracles are the builtin *, divmod,
 math.isqrt and str().
 """
 
@@ -9,10 +9,12 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from sagan import _arith
-from sagan._arith import _DIV_LIMIT, py_divmod, py_isqrt
+from sagan._arith import (_DIV_LIMIT, _LIMB_BITS, _MAX_POINTS, _MUL_LIMIT, fft_error_bound,
+                          py_divmod, py_isqrt, py_mul)
 from sagan.digits import digits_to_int, int_to_digits
 
 SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -27,6 +29,100 @@ def check_divmod(a, b):
 def random_bits(rng, bits):
     """A random integer of exactly `bits` bits."""
     return rng.getrandbits(bits - 1) | (1 << (bits - 1)) if bits > 1 else 1
+
+
+# operands of CAP_BITS bits each fill one transform of _MAX_POINTS points
+CAP_BITS = _MAX_POINTS // 2 * _LIMB_BITS
+
+
+@pytest.fixture
+def transform_lengths(monkeypatch):
+    """The length of every forward transform py_mul takes."""
+    lengths = []
+    rfft = np.fft.rfft
+
+    def recorded(x, n=None, *args, **kwargs):
+        lengths.append(len(x) if n is None else n)
+        return rfft(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recorded)
+    return lengths
+
+
+def check_mul(a, b):
+    for sa, sb in SIGNS:
+        assert py_mul(sa * a, sb * b) == sa * a * sb * b, (a.bit_length(), b.bit_length(), sa, sb)
+    assert py_mul(a, a) == a * a, a.bit_length()
+
+
+class TestMul:
+    def test_error_bound(self):
+        # rint recovers a coefficient within 1/2; the cap keeps a factor 2 spare
+        assert fft_error_bound(_LIMB_BITS, _MAX_POINTS) < 1 / 4
+        # 12-bit limbs would stay below 1/4 up to 2**19 points, not 2**20
+        assert fft_error_bound(12, 2 ** 19) < 1 / 4 <= fft_error_bound(12, 2 ** 20)
+        # 16-bit limbs at the cap would not
+        assert fft_error_bound(16, _MAX_POINTS) >= 1 / 4
+
+    def test_random_operands(self, transform_lengths):
+        rng = random.Random(11)
+        for _ in range(25):
+            a = random_bits(rng, rng.randrange(1, 1_200_000))
+            b = random_bits(rng, rng.randrange(1, 1_200_000))
+            sa, sb = rng.choice(SIGNS)
+            assert py_mul(sa * a, sb * b) == sa * a * sb * b, (a.bit_length(), b.bit_length())
+        assert transform_lengths and max(transform_lengths) <= _MAX_POINTS
+
+    def test_all_ones_operands(self, transform_lengths):
+        # every limb 2**12 - 1 makes every coefficient as large as it can be;
+        # (2**n - 1)(2**m - 1) = 2**(n+m) - 2**n - 2**m + 1
+        for n in (_MUL_LIMIT, 100_000, CAP_BITS, CAP_BITS + 1, 1_000_000, 2_500_000):
+            ones = (1 << n) - 1
+            for m in (n, n // 3, _MUL_LIMIT):
+                want = (1 << n + m) - (1 << n) - (1 << m) + 1
+                assert py_mul(ones, (1 << m) - 1) == want, (n, m)
+                assert py_mul(-ones, (1 << m) - 1) == -want, (n, m)
+            assert py_mul(ones, ones) == (1 << 2 * n) - (1 << n + 1) + 1, n
+        assert max(transform_lengths) == _MAX_POINTS
+
+    def test_unequal_lengths(self, transform_lengths):
+        rng = random.Random(12)
+        for long_bits, short_bits in ((3_000_000, _MUL_LIMIT), (2 * CAP_BITS, _MUL_LIMIT + 1),
+                                      (CAP_BITS, CAP_BITS // 5), (900_001, 300_007)):
+            check_mul(random_bits(rng, long_bits), random_bits(rng, short_bits))
+        assert max(transform_lengths) <= _MAX_POINTS
+
+    def test_signs_and_zero(self):
+        rng = random.Random(13)
+        a, b = random_bits(rng, 90_000), random_bits(rng, 70_000)
+        check_mul(a, b)
+        for x in (0, 1, -1, a):
+            for y in (0, -b):
+                assert py_mul(x, y) == x * y
+                assert py_mul(y, x) == x * y
+
+    def test_sizes_at_the_cutoff(self, transform_lengths):
+        rng = random.Random(14)
+        big = random_bits(rng, 200_000)
+        for bits in (_MUL_LIMIT - 1, _MUL_LIMIT, _MUL_LIMIT + 1):
+            del transform_lengths[:]
+            small = random_bits(rng, bits)
+            assert py_mul(big, small) == big * small, bits
+            assert py_mul(-small, big) == -small * big, bits
+            assert bool(transform_lengths) == (bits >= _MUL_LIMIT), bits
+
+    def test_sizes_at_the_cap(self, transform_lengths):
+        # limbs come in pairs, one per 24 bits, so CAP_BITS +- 24 are one pair either side
+        rng = random.Random(15)
+        for bits, split in ((CAP_BITS - 24, False), (CAP_BITS - 12, False), (CAP_BITS, False),
+                            (CAP_BITS + 1, True), (CAP_BITS + 24, True)):
+            del transform_lengths[:]
+            a, b = random_bits(rng, bits), random_bits(rng, bits)
+            assert py_mul(a, b) == a * b, bits
+            assert py_mul(a, a) == a * a, bits
+            # one product of two transforms and a square of one, or more
+            assert (len(transform_lengths) > 3) == split, (bits, transform_lengths)
+            assert max(transform_lengths) == _MAX_POINTS, bits
 
 
 class TestDivmod:
@@ -119,3 +215,19 @@ class TestRadixConversion:
         digits = [rng.randrange(base) for _ in range(count)]
         digits[0] = 0  # zero padding on the left survives
         assert int_to_digits(digits_to_int(digits, base), base, count) == digits
+
+    @pytest.mark.parametrize("base", [2, 3, 4, 8, 10, 16, 32, 64, 128, 200, 255, 256])
+    def test_leaf_boundaries_against_divmod(self, base):
+        # k digits per leaf, base**k < 2**63 <= base**(k+1); counts around multiples of k
+        k = max(j for j in range(1, 64) if base ** j < 2 ** 63)
+        rng = random.Random(base)
+        for count in (0, 1, k - 1, k, k + 1, 2 * k, 3 * k + 1, 5000):
+            value = rng.randrange(base ** count)
+            expected, v = [], value
+            for _ in range(count):
+                v, d = divmod(v, base)
+                expected.append(d)
+            assert int_to_digits(value, base, count) == expected[::-1], count
+            assert int_to_digits(base ** count - 1, base, count) == [base - 1] * count
+            with pytest.raises(ValueError):
+                int_to_digits(base ** count, base, count)

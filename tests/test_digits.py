@@ -494,7 +494,7 @@ class TestGrowingSources:
 
     def test_pi_stream_costs_one_call(self, monkeypatch):
         counts = {"terms": 0, "digits": 0}
-        term, to_digits = digits_module._chudnovsky_term, digits_module.int_to_digits
+        term, to_digits = digits_module._chudnovsky_term, digits_module.int_to_digit_bytes
 
         def counted_term(k):
             counts["terms"] += 1
@@ -505,7 +505,7 @@ class TestGrowingSources:
             return to_digits(value, base, count)
 
         monkeypatch.setattr(digits_module, "_chudnovsky_term", counted_term)
-        monkeypatch.setattr(digits_module, "int_to_digits", counted_digits)
+        monkeypatch.setattr(digits_module, "int_to_digit_bytes", counted_digits)
         total, block = 102400, 4096
         whole = digits_in_base(PI, 10, total).data
         one_call = dict(counts)
@@ -515,6 +515,18 @@ class TestGrowingSources:
         assert b"".join(stream.next_block().data for _ in range(total // block)) == whole
         assert counts["terms"] <= one_call["terms"] + 16, (counts, one_call)
         assert counts["digits"] <= one_call["digits"] + 16, (counts, one_call)
+
+    def test_e_stream_term_search_starts_from_the_last_count(self, monkeypatch):
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+        total, block = 131072, 4096
+        stream = open_stream(ConstantSpec.e(), 10, block)
+        got = b"".join(stream.next_block().data for _ in range(total // block))
+        # a few refills, each a galloping search of about 2 log2(terms) steps;
+        # a search that restarts at 2 makes tens of thousands of calls
+        assert len(calls) <= 200, len(calls)
+        assert got == digits_in_base(ConstantSpec.e(), 10, total).data
 
     @pytest.mark.parametrize("spec", SERIES, ids=ConstantSpec.identifier)
     def test_held_state_stays_bounded(self, spec):
@@ -698,11 +710,11 @@ class TestCertifier:
 
     def test_lower_end_of_band(self):
         assert self.certify(lambda band: 2) == (None, [2, 4, 8, 16])
-        assert self.certify(lambda band: 3) == ([1, 2, 3], [2])
+        assert self.certify(lambda band: 3) == (bytes([1, 2, 3]), [2])
 
     def test_upper_end_of_band(self):
         assert self.certify(lambda band: band - 1 - 2) == (None, [2, 4, 8, 16])
-        assert self.certify(lambda band: band - 1 - 3) == ([1, 2, 3], [2])
+        assert self.certify(lambda band: band - 1 - 3) == (bytes([1, 2, 3]), [2])
 
     @pytest.mark.parametrize("guard, first", [(0, 3), (1, 3), (3, 3), (4, 4)])
     def test_guard_starts_where_a_band_can_certify(self, guard, first):
@@ -714,7 +726,7 @@ class TestCertifier:
             calls.append(g)
             return 5 * 2 ** g + 2 ** (g - 1), 2
 
-        assert _certify(scaled, 2, 3, guard, "test digits") == [1, 0, 1]
+        assert _certify(scaled, 2, 3, guard, "test digits") == bytes([1, 0, 1])
         assert calls == [first]
 
     @pytest.mark.parametrize("spec", (PI, ConstantSpec.e(), ConstantSpec.sqrt2()),
@@ -730,8 +742,8 @@ class TestCertifier:
 
     def test_done_digits_are_not_returned(self):
         scaled = lambda prec: (123 * 10 ** (prec - 3) + 5 * 10 ** (prec - 5), 2)
-        assert _certify(scaled, 10, 3, 2, "test digits", done=1) == [2, 3]
-        assert _certify(scaled, 10, 3, 2, "test digits", done=3) == []
+        assert _certify(scaled, 10, 3, 2, "test digits", done=1) == bytes([2, 3])
+        assert _certify(scaled, 10, 3, 2, "test digits", done=3) == b""
 
 
 class TestIntDigitHelpers:
