@@ -78,16 +78,21 @@ def cache_path(cache_dir: str | os.PathLike, identifier: str, base: int) -> Path
 
 
 def write_cache(path: str | os.PathLike, base: int, identifier: str, digits) -> None:
-    """Atomic whole-file write (temp file, fsync, then rename)."""
+    """Atomic whole-file write (temp file, fsync, then rename); CacheError if it fails."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     blob = encode(base, identifier, digits)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.exists():
+            tmp.unlink()
+        raise CacheError(f"cannot write cache file {path}: {exc}") from exc
 
 
 def read_cache(path: str | os.PathLike) -> tuple[int, str, list[int]]:

@@ -232,7 +232,8 @@ def cmd_search(args) -> int:
         pattern = shape
         p_out, q_out = frozenset((1,)), frozenset((0,))
     matcher = search_mod.compile(pattern, args.base)
-    stream = open_stream(spec, args.base, args.block_size)
+    # a block past the last digit the search reads would compute unused digits
+    stream = open_stream(spec, args.base, min(args.block_size, args.limit + args.context_width))
     result = search_mod.find_first(stream, matcher, args.limit, args.context_width)
     if args.format == "json":
         record = search_mod.result_record(

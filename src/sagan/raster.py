@@ -1,13 +1,16 @@
 """Digital n-circles: rasterization schemes, symmetries, and cell counting.
 
 Every geometric predicate is evaluated in exact integer arithmetic on a
-half-unit lattice; no floating point enters any decision.
+half-unit lattice; no floating point enters any decision. Rasters are bytes
+(0 or 1 per cell) written as runs per row, never cell by cell.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 from .errors import (
@@ -23,35 +26,43 @@ SCHEMES = (NAIVE, CENTER)
 
 
 class BitRaster:
-    """width x height bit raster flattened row major, top row first."""
+    """width x height bit raster: `data` holds a 0 or 1 byte per cell, row major, top first."""
 
-    __slots__ = ("width", "height", "bits")
+    __slots__ = ("width", "height", "data")
 
     def __init__(self, width: int, height: int, bits):
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != width * height:
-            raise ValueError(f"expected {width * height} bits, got {len(bits)}")
-        if not set(bits) <= {0, 1}:
+        try:
+            data = bytes(bits)
+        except ValueError:  # a value outside 0..255
+            raise ValueError("bits must be 0 or 1") from None
+        if len(data) != width * height:
+            raise ValueError(f"expected {width * height} bits, got {len(data)}")
+        if data.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
         self.width = width
         self.height = height
-        self.bits = bits
+        self.data = data
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.data)
 
     def bit(self, row: int, col: int) -> int:
         """1-indexed access, row 1 = top."""
         if not (1 <= row <= self.height and 1 <= col <= self.width):
             raise IndexError((row, col))
-        return self.bits[(row - 1) * self.width + (col - 1)]
+        return self.data[(row - 1) * self.width + (col - 1)]
 
     def flat(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return self.data.translate(bytes.maketrans(b"\x00\x01", b"01")).decode()
 
     def rows(self) -> list[tuple[int, ...]]:
         w = self.width
-        return [self.bits[i * w:(i + 1) * w] for i in range(self.height)]
+        return [tuple(self.data[i * w:(i + 1) * w]) for i in range(self.height)]
 
     def ascii(self, frame: bool = False, on: str = "#", off: str = ".") -> str:
-        rows = ["".join(on if b else off for b in row) for row in self.rows()]
+        flat, w, glyphs = self.flat(), self.width, {ord("0"): off, ord("1"): on}
+        rows = [flat[i * w:(i + 1) * w].translate(glyphs) for i in range(self.height)]
         if frame:
             edge = off * (self.width + 2)
             rows = [edge] + [off + row + off for row in rows] + [edge]
@@ -72,10 +83,10 @@ class RasterPattern(BitRaster):
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RasterPattern) and self.n == other.n
-                and self.scheme == other.scheme and self.bits == other.bits)
+                and self.scheme == other.scheme and self.data == other.data)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.scheme, self.bits))
+        return hash((self.n, self.scheme, self.data))
 
     def __repr__(self) -> str:
         return f"RasterPattern(n={self.n}, scheme={self.scheme!r}, flat={self.flat()!r})"
@@ -120,60 +131,68 @@ def _radius(n: int, radius: Fraction | None) -> Fraction:
     return r
 
 
+def _mirrored(rows, width: int, height: int) -> bytes:
+    """Bits mirrored across both axes from `rows`, the top-left quadrant."""
+    rows = [row + row[:width // 2][::-1] for row in rows]
+    return b"".join(rows + rows[:height // 2][::-1])
+
+
 def rasterize_naive(n: int, radius: Fraction | None = None) -> RasterPattern:
-    """Mark every pixel the circle of diameter n (or 2*radius) crosses."""
+    """Mark every pixel the circle of diameter n (or 2*radius) crosses.
+
+    Scaled by 2 * den(rad), the radius is 2 * num(rad) and cell i = 0, 1, ..
+    outwards from the center spans (2i - n%2) to (2i + 2 - n%2) den, so the
+    least and greatest squared distances of cell i, near[i] and far[i], rise
+    with i. Cell (i, j) is crossed when near[i] + near[j] <= rr2 <= far[i] +
+    far[j]: in each half-row, a leading run of near minus a shorter one of
+    far, found by two bisects."""
     rad = _radius(n, radius)
-    # scaled by 2 * den(rad): the raster center (n/2, n/2) lands on n * den(rad),
-    # pixel edges on even multiples of den(rad), and the radius on 2 * num(rad)
-    cx, step, rr2 = n * rad.denominator, 2 * rad.denominator, (2 * rad.numerator) ** 2
-    # per-axis min/max squared distances, identical for rows and columns
-    mins, maxs = [0] * (n + 1), [0] * (n + 1)
-    for c in range(1, n + 1):
-        lo, hi = (c - 1) * step, c * step
-        d_lo, d_hi = abs(cx - lo), abs(cx - hi)
-        mins[c] = 0 if lo <= cx <= hi else min(d_lo, d_hi) ** 2
-        maxs[c] = max(d_lo, d_hi) ** 2
-    bits = []
-    for r in range(1, n + 1):
-        ymin, ymax = mins[r], maxs[r]
-        row = [1 if mins[c] + ymin <= rr2 <= maxs[c] + ymax else 0
-               for c in range(1, n + 1)]
-        bits.extend(row)
-    return RasterPattern(n, NAIVE, bits)
+    top, odd = (n + 1) // 2, n % 2
+    den2, rr2 = rad.denominator ** 2, (2 * rad.numerator) ** 2
+    near = [max(0, 2 * i - odd) ** 2 * den2 for i in range(top)]
+    far = [(2 * i + 2 - odd) ** 2 * den2 for i in range(top)]
+    rows = []
+    for y_near, y_far in zip(reversed(near), reversed(far)):  # top row first
+        crossed, within = bisect_right(near, rr2 - y_near), bisect_left(far, rr2 - y_far)
+        rows.append(bytes(top - crossed) + b"\x01" * (crossed - within) + bytes(within))
+    return RasterPattern(n, NAIVE, _mirrored(rows, n, n))
 
 
-def _inside(width: int, height: int, a: Fraction, b: Fraction) -> list[list[bool]]:
-    """Rows of cells whose centers satisfy x**2/a**2 + y**2/b**2 <= 1, with
-    (x, y) measured from the raster center.
+def _ring(a: Fraction, b: Fraction, width: int, height: int) -> bytes:
+    """Center-boundary bits (see rasterize_center) of x**2/a**2 + y**2/b**2 <= 1,
+    with (x, y) measured from the raster center.
 
     Cell (row k, column c), 1-indexed, is centered at odd multiples of 1/2:
     x = (2c - 1 - width) / 2 and y = (2k - 1 - height) / 2. With a = p/q and
     b = r/s, x**2/a**2 = (2c-1-width)**2 q**2 / (4 p**2) and likewise for y;
     multiplying the test by 4 (p r)**2 > 0 gives the integer test
     (2c-1-width)**2 (q r)**2 + (2k-1-height)**2 (s p)**2 <= 4 (p r)**2.
+    So row k has no inside cell when rem = 4 (p r)**2 - (2k-1-height)**2 (s p)**2
+    is negative. Else, the left side being a multiple of (q r)**2, the test
+    is |2c-1-width| <= m = isqrt(rem // (q r)**2). As 2c-1-width has the
+    parity of width - 1, m lowered by one when its parity differs keeps the
+    same cells: a centred run of m + 1 cells, clipped to 1..width.
+
+    Off the border, a cell of that run has all 4 neighbors inside when it
+    is off the run's ends and within the runs of rows k - 1 and k + 1. All
+    runs are centred, so those cells form the centred run of the least of
+    these lengths, and the ring of row k is its run minus that one.
     """
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
     qr2, sp2, bound = (q * r) ** 2, (s * p) ** 2, 4 * (p * r) ** 2
-    xs = [(2 * c - 1 - width) ** 2 * qr2 for c in range(1, width + 1)]
-    ys = [(2 * k - 1 - height) ** 2 * sp2 for k in range(1, height + 1)]
-    return [[x <= bound - y for x in xs] for y in ys]
-
-
-def _boundary_ring(inside: list[list[bool]]) -> list[int]:
-    """Row-major bits: 1 for an inside cell on the raster border or with a
-    4-neighbor outside, else 0."""
-    height, width = len(inside), len(inside[0])
-    bits = []
-    for r in range(height):
-        for c in range(width):
-            if not inside[r][c]:
-                bits.append(0)
-                continue
-            on_border = r == 0 or c == 0 or r == height - 1 or c == width - 1
-            exposed = on_border or not (inside[r - 1][c] and inside[r + 1][c]
-                                        and inside[r][c - 1] and inside[r][c + 1])
-            bits.append(1 if exposed else 0)
-    return bits
+    counts = []
+    for k in range(1, height + 1):
+        rem = bound - (2 * k - 1 - height) ** 2 * sp2
+        m = isqrt(rem // qr2) if rem >= 0 else -1
+        m -= (m - width + 1) % 2  # to the parity of width - 1
+        counts.append(max(0, min(width, m + 1)))
+    half, rows = (width + 1) // 2, []
+    for k in range((height + 1) // 2):
+        inner = 0 if k in (0, height - 1) else max(
+            0, min(counts[k - 1], counts[k] - 2, counts[k + 1], width - 2))
+        lo, inner_lo = (width + 1 - counts[k]) // 2, (width + 1 - inner) // 2
+        rows.append(bytes(lo) + b"\x01" * (inner_lo - lo) + bytes(half - inner_lo))
+    return _mirrored(rows, width, height)
 
 
 def rasterize_center(n: int, radius: Fraction | None = None) -> RasterPattern:
@@ -183,7 +202,7 @@ def rasterize_center(n: int, radius: Fraction | None = None) -> RasterPattern:
     4-neighbors is outside, or it sits on the raster border.
     """
     r = _radius(n, radius)
-    return RasterPattern(n, CENTER, _boundary_ring(_inside(n, n, r, r)))
+    return RasterPattern(n, CENTER, _ring(r, r, n, n))
 
 
 def rasterize_ellipse(semi_axis_a, semi_axis_b, width: int, height: int) -> BitRaster:
@@ -196,7 +215,7 @@ def rasterize_ellipse(semi_axis_a, semi_axis_b, width: int, height: int) -> BitR
     if a > Fraction(width, 2) or b > Fraction(height, 2):
         raise EllipseOutOfRaster(
             f"ellipse {a} x {b} exceeds raster {width} x {height}")
-    return BitRaster(width, height, _boundary_ring(_inside(width, height, a, b)))
+    return BitRaster(width, height, _ring(a, b, width, height))
 
 
 def corner_crossed(n: int) -> bool:
@@ -296,17 +315,13 @@ class SymmetryReport:
 
 
 def check_symmetries(pattern: RasterPattern) -> SymmetryReport:
-    bits, rows = pattern.bits, pattern.rows()
-    return SymmetryReport(palindrome=bits == bits[::-1],
-                          transpose=rows == list(zip(*rows)),
-                          row_mirror=all(row == row[::-1] for row in rows),
+    n, data = pattern.n, pattern.data
+    rows = [data[i:i + n] for i in range(0, n * n, n)]
+    columns = [data[c::n] for c in range(n)]
+    return SymmetryReport(palindrome=data == data[::-1],
+                          transpose=rows == columns,
+                          row_mirror=columns == columns[::-1],
                           column_mirror=rows == rows[::-1])
-
-
-def _octant_cells(n: int) -> list[tuple[int, int]]:
-    """Fundamental half-quadrant: cells (r, c) with r <= c <= ceil(n/2)."""
-    top = (n + 1) // 2
-    return [(r, c) for r in range(1, top + 1) for c in range(r, top + 1)]
 
 
 def octant_cell_count(n: int) -> int:
@@ -318,25 +333,24 @@ def extract_octant(pattern: RasterPattern) -> tuple[int, ...]:
     """Minimal generating cells under the order-8 dihedral group."""
     if not check_symmetries(pattern).all_hold:
         raise AsymmetricPattern("pattern lacks full dihedral symmetry")
-    return tuple(pattern.bit(r, c) for r, c in _octant_cells(pattern.n))
+    n, top = pattern.n, (pattern.n + 1) // 2
+    return tuple(b"".join(pattern.data[r * n + r:r * n + top] for r in range(top)))
 
 
 def reconstruct_from_octant(octant, n: int, scheme: str = CENTER) -> RasterPattern:
-    """Fill all n*n cells from the half-quadrant by the 8 symmetry maps."""
-    octant = tuple(int(b) for b in octant)
-    cells = _octant_cells(n)
-    if len(octant) != len(cells):
+    """Fill all n*n cells from the half-quadrant, cells (r, c) with
+    r <= c <= ceil(n/2), by the 8 symmetry maps."""
+    octant = bytes(octant)
+    if len(octant) != octant_cell_count(n):
         raise WrongOctantLength(
-            f"expected {len(cells)} octant bits for n={n}, got {len(octant)}")
-    index = {cell: k for k, cell in enumerate(cells)}
-    bits = []
-    for r in range(1, n + 1):
-        rm = min(r, n + 1 - r)
-        for c in range(1, n + 1):
-            cm = min(c, n + 1 - c)
-            key = (rm, cm) if rm <= cm else (cm, rm)
-            bits.append(octant[index[key]])
-    return RasterPattern(n, scheme, bits)
+            f"expected {octant_cell_count(n)} octant bits for n={n}, got {len(octant)}")
+    top = (n + 1) // 2
+    starts = list(accumulate(range(top, 0, -1), initial=0))
+    # octant rows as an upper-triangular square; quadrant cell (r, c < r) is
+    # (c, r), in column r of the square
+    square = b"".join(bytes(r) + octant[a:b] for r, (a, b) in enumerate(zip(starts, starts[1:])))
+    return RasterPattern(n, scheme, _mirrored(
+        [square[r:r * top:top] + square[r * top + r:(r + 1) * top] for r in range(top)], n, n))
 
 
 def rasterize(n: int, scheme: str, radius: Fraction | None = None) -> RasterPattern:
@@ -360,6 +374,6 @@ def octant_reconstruction_failures(max_n: int, scheme: str = CENTER) -> list[int
         except (AsymmetricPattern, WrongOctantLength):
             bad.append(n)
             continue
-        if rebuilt.bits != pattern.bits:
+        if rebuilt.data != pattern.data:
             bad.append(n)
     return bad

@@ -2,9 +2,9 @@
 plus the expected-position and CPU-cost estimators.
 
 Matching runs over the flattened 1-D digit string; the square raster view
-of a matched window is a rendering concern. A matcher compiles to one regex
-of byte classes; the leftmost match of that fixed-length pattern is the
-minimal anchor.
+of a matched window is a rendering concern. A matcher compiles the runs of
+equal bytes in a raster to one regex of byte classes; the leftmost match of
+that fixed-length pattern is the minimal anchor.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby, repeat
+from math import prod
+from operator import itemgetter
 
 from .digits import ConstantSpec, DigitBlock, DigitStream, open_stream
 from .errors import BaseMismatch, BaseTooSmall, DigitOutOfRange, LimitTooSmall
@@ -41,36 +43,39 @@ def _byte_class(digits: frozenset) -> bytes:
 
 
 class CompiledMatcher:
-    """Per-position admissible digit sets, and `regex`, which matches a
-    window of digit bytes exactly when every digit is admissible: one byte
-    class per run of equal sets, e.g. [P]{k}[Q]{m}."""
+    """Admissible digit sets as `runs` of (set, count), expanded per position
+    into `admissible` on first read, and `regex`, which matches a window of
+    digits exactly when every digit is admissible: a class per run, [P]{k}."""
 
-    __slots__ = ("base", "admissible", "regex")
+    __slots__ = ("base", "runs", "length", "regex", "_admissible")
 
     def __init__(self, base: int, admissible):
-        distinct: dict[frozenset, frozenset] = {}
-        sets = []
-        for s in map(frozenset, admissible):
-            checked = distinct.get(s)
-            if checked is None:
-                checked = distinct[s] = frozenset(int(d) for d in s)
-                if not checked:
-                    raise ValueError("admissible sets must be non-empty")
-                if any(d < 0 or d >= base for d in checked):
-                    raise BaseTooSmall(
-                        f"digit set {sorted(checked)} not representable in base {base}")
-            sets.append(checked)
-        if not sets:
+        self._set_runs(base, ((s, 1) for s in admissible))
+
+    def _set_runs(self, base: int, runs):
+        """Check the sets, merge equal neighbours and compile; `compile` calls it too."""
+        runs = [(frozenset(int(d) for d in s), count) for s, count in runs]
+        for s, _ in runs:
+            if not s:
+                raise ValueError("admissible sets must be non-empty")
+            if any(d < 0 or d >= base for d in s):
+                raise BaseTooSmall(f"digit set {sorted(s)} not representable in base {base}")
+        if not runs:
             raise ValueError("matcher needs at least one position")
         self.base = base
-        self.admissible = tuple(sets)
-        runs = ((s, sum(1 for _ in run)) for s, run in groupby(sets))
+        self.runs = tuple((s, sum(count for _, count in group))
+                          for s, group in groupby(runs, itemgetter(0)))
+        self.length = sum(count for _, count in self.runs)
         self.regex = re.compile(b"".join(
-            _byte_class(s) + (b"{%d}" % k if k > 1 else b"") for s, k in runs))
+            _byte_class(s) + (b"{%d}" % k if k > 1 else b"") for s, k in self.runs))
+        self._admissible = None
 
     @property
-    def length(self) -> int:
-        return len(self.admissible)
+    def admissible(self) -> tuple[frozenset, ...]:
+        if self._admissible is None:
+            self._admissible = tuple(chain.from_iterable(
+                repeat(s, count) for s, count in self.runs))
+        return self._admissible
 
     def admits(self, window) -> bool:
         return len(window) == self.length and all(
@@ -78,21 +83,22 @@ class CompiledMatcher:
 
 
 def compile(pattern, base: int) -> CompiledMatcher:
-    """Compile a RasterPattern or GeneralizedPattern into a matcher."""
+    """Compile a RasterPattern or GeneralizedPattern into a matcher, run by run."""
     if base < 2:
         raise BaseTooSmall(f"base {base} < 2")
     if isinstance(pattern, GeneralizedPattern):
         if base <= pattern.max_digit:
             raise BaseTooSmall(
                 f"base {base} <= max digit {pattern.max_digit} of P and Q")
-        p, q = pattern.circle_set, pattern.background_set
-        sets = [p if bit else q for bit in pattern.shape.bits]
+        shape, sets = pattern.shape, (pattern.background_set, pattern.circle_set)
     elif isinstance(pattern, RasterPattern):
-        one, zero = frozenset((1,)), frozenset((0,))
-        sets = [one if bit else zero for bit in pattern.bits]
+        shape, sets = pattern, (frozenset((0,)), frozenset((1,)))
     else:
         raise TypeError(f"cannot compile {type(pattern).__name__}")
-    return CompiledMatcher(base, sets)
+    matcher = CompiledMatcher.__new__(CompiledMatcher)
+    matcher._set_runs(base, ((sets[shape.data[m.start()]], m.end() - m.start())
+                             for m in re.finditer(rb"\x00+|\x01+", shape.data)))
+    return matcher
 
 
 @dataclass(frozen=True)
@@ -107,16 +113,16 @@ class SearchResult:
     base: int
 
 
-def _scan(stream: DigitStream, matcher: CompiledMatcher, limit: int,
-          context_width: int, chunk: int | None = None) -> SearchResult:
-    """Smallest anchor p <= limit - len + 1 whose window the matcher admits.
+def find_first(stream: DigitStream, matcher: CompiledMatcher, limit: int,
+               context_width: int = 12) -> SearchResult:
+    """Smallest anchor p <= limit - len + 1 with digits p..p+len-1 all
+    admissible, among the first `limit` digits of the stream.
 
     Reserves the `limit` + `context_width` digits it can read, then pulls
     blocks from `stream` into one buffer and, after each pull, searches
-    the anchors whose windows it now holds, at most `chunk` anchors per regex
-    search when given. Between pulls the buffer keeps only the last
-    len - 1 + context_width digits, enough for the next window and the
-    context before it.
+    the anchors whose windows it now holds with one regex search. Between
+    pulls the buffer keeps only the last len - 1 + context_width digits,
+    enough for the next window and the context before it.
     """
     if stream.base != matcher.base:
         raise BaseMismatch(
@@ -139,12 +145,11 @@ def _scan(stream: DigitStream, matcher: CompiledMatcher, limit: int,
         first = keep
         buf += stream.next_block().data
         ready = min(last, first + len(buf) - length)
-        while hit is None and anchor <= ready:
-            hi = ready if chunk is None else min(ready, anchor + chunk - 1)
-            m = search(buf, anchor - first, hi - first + length)
+        if anchor <= ready:
+            m = search(buf, anchor - first, ready - first + length)
             if m is not None:
                 hit = first + m.start()
-            anchor = hi + 1
+            anchor = ready + 1
 
     if hit is None:
         return SearchResult(False, None, None, (), (), limit, limit, matcher.base)
@@ -159,13 +164,6 @@ def _scan(stream: DigitStream, matcher: CompiledMatcher, limit: int,
     return SearchResult(True, hit, window, before, after, end, limit, matcher.base)
 
 
-def find_first(stream: DigitStream, matcher: CompiledMatcher, limit: int,
-               context_width: int = 12) -> SearchResult:
-    """Smallest anchor p with digits p..p+len-1 all admissible, among the
-    first `limit` digits of the stream."""
-    return _scan(stream, matcher, limit, context_width)
-
-
 def find_digit(stream: DigitStream, digit: int, limit: int,
                context_width: int = 12) -> SearchResult:
     """First position of a single digit; a length-1 matcher."""
@@ -178,14 +176,12 @@ def find_digit(stream: DigitStream, digit: int, limit: int,
 def find_first_chunked(constant: ConstantSpec, base: int, matcher: CompiledMatcher,
                        limit: int, chunk_size: int, block_size: int = 1024,
                        context_width: int = 12) -> SearchResult:
-    """find_first over one stream, with the anchors searched in ranges of at
-    most `chunk_size`, each one regex search over a slice of the shared
-    buffer. The minimum anchor over the ranges equals the sequential result;
-    every digit is computed once."""
+    """find_first over one stream opened on `constant`: the minimum anchor
+    over any split into ranges of `chunk_size` (>= 1) anchors."""
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    return _scan(open_stream(constant, base, block_size), matcher, limit,
-                 context_width, chunk_size)
+    return find_first(open_stream(constant, base, block_size), matcher, limit,
+                      context_width)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +205,7 @@ def expected_position(base: int, window_length: int) -> Decimal:
 def class_frequency_gain(matcher: CompiledMatcher) -> int:
     """Number of distinct windows the matcher admits: the expected-frequency
     multiplier versus a plain pattern under a uniform digit model."""
-    gain = 1
-    for s in matcher.admissible:
-        gain *= len(s)
-    return gain
+    return prod(len(s) ** count for s, count in matcher.runs)
 
 
 @dataclass(frozen=True)

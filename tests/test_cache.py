@@ -126,6 +126,13 @@ class TestFileRoundTrip:
         leftovers = [p for p in tmp_path.iterdir() if p.name != path.name]
         assert leftovers == []
 
+    def test_failed_write_raises_cache_error_and_removes_temp_file(self, tmp_path):
+        path = cache_path(tmp_path, "pi", 10)
+        path.mkdir()  # the rename onto a directory fails after the temp file is written
+        with pytest.raises(CacheError, match="cannot write cache file"):
+            write_cache(path, 10, "pi", [1, 4])
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_fsync_before_replace(self, tmp_path, monkeypatch):
         calls = []
         real_fsync, real_replace = os.fsync, os.replace

@@ -84,6 +84,15 @@ class TestCacheFlow:
                            "--cache", "--cache-dir", str(tmp_path))
         assert code == EXIT_CACHE and "UTF-8" in err
 
+    def test_unwritable_cache_dir_exits_three(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_bytes(b"")
+        code, out, err = run(capsys, "digits", "--constant", "pi", "--count", "5",
+                             "--cache", "--cache-dir", str(not_a_dir))
+        assert code == EXIT_CACHE and out == ""
+        assert err.startswith("cache error:") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SAGAN_CACHE_DIR", str(tmp_path))
         code, _, _ = run(capsys, "digits", "--constant", "e", "--count", "5", "--cache")
@@ -161,6 +170,23 @@ class TestSearchCommand:
                            "--limit", "100", "--format", "json")
         record = json.loads(out)
         assert code == EXIT_OK and record["P"] == [1, 7] and record["Q"] == [0, 3]
+
+    def test_block_size_past_the_limit(self):
+        # a block is never longer than the digits the search can read, so a
+        # huge --block-size costs no more than the default and prints the same
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import sagan
+        src = str(Path(sagan.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "sagan.cli", "search", "--constant", "pi",
+                "-n", "1", "--limit", "100"]
+        default, huge = (subprocess.run(argv + extra, capture_output=True, text=True,
+                                        timeout=5, env={"PYTHONPATH": src})
+                         for extra in ([], ["--block-size", "1000000"]))
+        assert default.returncode == huge.returncode == EXIT_OK
+        assert huge.stdout == default.stdout and "position 1 " in huge.stdout
 
     def test_mismatched_class_flags(self, capsys):
         code, _, err = run(capsys, "search", "--constant", "pi", "--base", "10",

@@ -60,6 +60,42 @@ def ring_oracle(a, b, width: int, height: int) -> list[int]:
     return bits
 
 
+def naive_oracle(n: int, radius=None) -> list[int]:
+    """Naive-scheme bits by a per-cell Fraction test: the circle crosses a
+    pixel when the pixel's nearest point lies at most r from the center and
+    its farthest corner at least r."""
+    r = Fraction(n, 2) if radius is None else Fraction(radius)
+    center = Fraction(n, 2)
+
+    def near_far(k):  # distances from the center to cell k's two edges
+        lo, hi = k - center, k + 1 - center
+        near = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+        return near, max(abs(lo), abs(hi))
+
+    bits = []
+    for row in range(n):
+        for col in range(n):
+            (near_y, far_y), (near_x, far_x) = near_far(row), near_far(col)
+            crossed = near_x ** 2 + near_y ** 2 <= r * r <= far_x ** 2 + far_y ** 2
+            bits.append(1 if crossed else 0)
+    return bits
+
+
+def octant_oracle(octant, n: int) -> list[int]:
+    """All n*n bits from the octant by per-cell lookup: cell (r, c) takes
+    the octant bit of (min(r', c'), max(r', c')), where r' and c' are r and
+    c folded into the top-left quadrant."""
+    top = (n + 1) // 2
+    cells = [(r, c) for r in range(1, top + 1) for c in range(r, top + 1)]
+    index = {cell: k for k, cell in enumerate(cells)}
+    bits = []
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            rm, cm = min(r, n + 1 - r), min(c, n + 1 - c)
+            bits.append(octant[index[min(rm, cm), max(rm, cm)]])
+    return bits
+
+
 def center_scheme_oracle(n: int, radius=None) -> list[int]:
     r = Fraction(n, 2) if radius is None else radius
     return ring_oracle(r, r, n, n)
@@ -88,6 +124,21 @@ class TestNaiveScheme:
         pattern = rasterize_naive(7)
         for r, c in ((1, 1), (1, 7), (7, 1), (7, 7)):
             assert pattern.bit(r, c) == 0
+
+    def test_against_fraction_oracle(self):
+        for n in range(1, 49):
+            assert list(rasterize_naive(n).bits) == naive_oracle(n), n
+
+    def test_radius_overrides_against_fraction_oracle(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n, den = rng.randint(1, 24), rng.randint(1, 12)
+            # radii past n/2 clip both runs at the raster border, and past
+            # n/sqrt(2) leave the raster empty
+            top = rng.choice((n, 60 * n))
+            radius = Fraction(rng.randint(1, 2 * top * den), 2 * den)
+            assert list(rasterize_naive(n, radius).bits) == \
+                naive_oracle(n, radius), (n, radius)
 
     def test_corner_bit_threshold(self):
         # crossed exactly while n <= 4 + 2*sqrt(2)
@@ -122,6 +173,14 @@ class TestCenterScheme:
             radius = Fraction(rng.randint(1, 3 * n * den), 2 * den)
             assert list(rasterize_center(n, radius).bits) == \
                 center_scheme_oracle(n, radius), (n, radius)
+
+    def test_radii_far_past_half_the_side(self):
+        # every cell center is inside, so each row's span is clipped to the
+        # width and the ring is the raster border
+        for n in range(1, 17):
+            for radius in (Fraction(3 * n, 4), Fraction(n), Fraction(7 * n, 3), 60 * n):
+                assert list(rasterize_center(n, radius).bits) == \
+                    center_scheme_oracle(n, radius), (n, radius)
 
     def test_alternative_diameter_radius(self):
         # diameter n-1 reading: only the central 2x2 block is inside
@@ -169,6 +228,18 @@ class TestEllipse:
                 continue
             assert list(rasterize_ellipse(a, b, width, height).bits) == \
                 ring_oracle(a, b, width, height), (a, b, width, height)
+
+    def test_one_row_and_one_column(self):
+        rng = random.Random(13)
+        for side in range(1, 41):
+            for _ in range(5):
+                den = rng.randint(1, 12)
+                a = Fraction(rng.randint(1, side * den), 2 * den)
+                b = Fraction(rng.randint(1, den), 2 * den)
+                assert list(rasterize_ellipse(a, b, side, 1).bits) == \
+                    ring_oracle(a, b, side, 1), (a, b, side)
+                assert list(rasterize_ellipse(b, a, 1, side).bits) == \
+                    ring_oracle(b, a, 1, side), (b, a, side)
 
     def test_out_of_raster(self):
         with pytest.raises(EllipseOutOfRaster):
@@ -302,6 +373,14 @@ class TestOctant:
                 rebuilt = reconstruct_from_octant(
                     extract_octant(pattern), n, scheme)
                 assert rebuilt.bits == pattern.bits
+
+    def test_against_per_cell_mapping(self):
+        rng = random.Random(8)
+        for n in list(range(1, 25)) + [31, 32, 47, 64]:
+            octant = [rng.randint(0, 1) for _ in range(octant_cell_count(n))]
+            pattern = reconstruct_from_octant(octant, n)
+            assert list(pattern.bits) == octant_oracle(octant, n), n
+            assert extract_octant(pattern) == tuple(octant)
 
     def test_reconstruction_passes_symmetry(self):
         octant = extract_octant(rasterize_center(9))

@@ -299,6 +299,30 @@ class TestLargeMatcher:
         assert time.perf_counter() - start < 10.0
 
 
+    def test_n4096_compiles_from_runs(self):
+        # in a fresh interpreter, so the time covers only rasterizing and
+        # compiling; the matcher holds a few runs per row, not n*n sets
+        import subprocess
+        from pathlib import Path
+
+        import sagan
+        script = (
+            "import time\n"
+            "from sagan.raster import rasterize_center\n"
+            "from sagan.search import compile\n"
+            "start = time.perf_counter()\n"
+            "matcher = compile(rasterize_center(4096), 10)\n"
+            "print(time.perf_counter() - start, matcher.length, len(matcher.runs))\n")
+        src = str(Path(sagan.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        seconds, length, runs = proc.stdout.split()
+        assert float(seconds) < 10.0
+        assert int(length) == 4096 * 4096
+        assert int(runs) <= 5 * 4096
+
+
 class TestChunkedEquivalence:
     def test_chunked_equals_sequential(self):
         rng = random.Random(2026)
