@@ -232,8 +232,7 @@ def cmd_search(args) -> int:
         pattern = shape
         p_out, q_out = frozenset((1,)), frozenset((0,))
     matcher = search_mod.compile(pattern, args.base)
-    # a block past the last digit the search reads would compute unused digits
-    stream = open_stream(spec, args.base, min(args.block_size, args.limit + args.context_width))
+    stream = open_stream(spec, args.base, args.block_size)
     result = search_mod.find_first(stream, matcher, args.limit, args.context_width)
     if args.format == "json":
         record = search_mod.result_record(

@@ -754,7 +754,7 @@ class DigitStream:
         self._buf = bytearray()  # digits from position self._first on
         self._first = 1
         self._need = 0           # last position the current read needs
-        self._horizon: int | None = None  # see reserve()
+        self._horizon = math.inf  # see reserve()
         self._chunks = _exact_chunks(source, base) or self._extended()
 
     def _extended(self) -> Iterator[bytes]:
@@ -764,9 +764,7 @@ class DigitStream:
         digits = _computed(self.source, self.base, DEFAULT_GUARD)
         done = 0
         while True:
-            grow = max(2 * done, 4 * self.block_size, 64)
-            if self._horizon is not None:
-                grow = min(grow, self._horizon)
+            grow = min(max(2 * done, 4 * self.block_size, 64), self._horizon)
             target = max(self._need, grow)
             yield digits(target, done)
             done = target
@@ -786,11 +784,9 @@ class DigitStream:
         return bytes(self._buf[start - self._first:stop - self._first])
 
     def reserve(self, count: int):
-        """Only the next `count` digits will be read: a refill grows no
-        further than the end of the block that holds the last of them,
-        unless a read goes past it."""
-        blocks = max(0, -(-count // self.block_size))
-        self._horizon = self.cursor - 1 + blocks * self.block_size
+        """Only the next `count` digits will be read: a refill computes no
+        digit past the last of them, unless a read goes past it."""
+        self._horizon = self.cursor - 1 + max(0, count)
 
     def next_block(self) -> DigitBlock:
         return self.take(self.block_size)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat
 from math import prod
 from operator import itemgetter
 
@@ -43,9 +43,10 @@ def _byte_class(digits: frozenset) -> bytes:
 
 
 class CompiledMatcher:
-    """Admissible digit sets as `runs` of (set, count), expanded per position
-    into `admissible` on first read, and `regex`, which matches a window of
-    digits exactly when every digit is admissible: a class per run, [P]{k}."""
+    """Admissible digit sets as `runs` of (set, count), which `admits` checks
+    slice by slice and `admissible` expands per position on first read, and
+    `regex`, which matches a window of digits exactly when every digit is
+    admissible: a class per run, [P]{k}."""
 
     __slots__ = ("base", "runs", "length", "regex", "_admissible")
 
@@ -78,8 +79,11 @@ class CompiledMatcher:
         return self._admissible
 
     def admits(self, window) -> bool:
-        return len(window) == self.length and all(
-            d in s for d, s in zip(window, self.admissible))
+        if len(window) != self.length:
+            return False
+        ends = accumulate(count for _, count in self.runs)
+        return all(s.issuperset(window[end - count:end])
+                   for (s, count), end in zip(self.runs, ends))
 
 
 def compile(pattern, base: int) -> CompiledMatcher:
@@ -115,14 +119,14 @@ class SearchResult:
 
 def find_first(stream: DigitStream, matcher: CompiledMatcher, limit: int,
                context_width: int = 12) -> SearchResult:
-    """Smallest anchor p <= limit - len + 1 with digits p..p+len-1 all
-    admissible, among the first `limit` digits of the stream.
+    """Smallest anchor p with digits p..p+len-1 all admissible, among the
+    first `limit` digits from the stream's cursor, in the stream's positions.
 
-    Reserves the `limit` + `context_width` digits it can read, then pulls
-    blocks from `stream` into one buffer and, after each pull, searches
-    the anchors whose windows it now holds with one regex search. Between
-    pulls the buffer keeps only the last len - 1 + context_width digits,
-    enough for the next window and the context before it.
+    Reserves the `limit` + `context_width` digits it can read and reads no
+    more: blocks go into one buffer, the last read stops at the limit, and
+    after each read one regex search covers the anchors whose windows the
+    buffer now holds. Between reads the buffer keeps only the last
+    len - 1 + context_width digits, for the next window and its context.
     """
     if stream.base != matcher.base:
         raise BaseMismatch(
@@ -135,33 +139,32 @@ def find_first(stream: DigitStream, matcher: CompiledMatcher, limit: int,
 
     stream.reserve(limit + context_width)
     search = matcher.regex.search
-    last = limit - length + 1
-    buf, first = bytearray(), 1  # buf[0] is the digit at position `first`
-    anchor = 1                   # smallest anchor not yet searched
+    start = stream.cursor
+    stop = start + limit          # first position past the limit
+    buf, first = bytearray(), start  # buf[0] is the digit at position `first`
+    anchor = start                # smallest anchor not yet searched
     hit = None
-    while hit is None and anchor <= last:
+    while hit is None and first + len(buf) < stop:
         keep = max(first, anchor - context_width)
         del buf[:keep - first]
         first = keep
-        buf += stream.next_block().data
-        ready = min(last, first + len(buf) - length)
-        if anchor <= ready:
-            m = search(buf, anchor - first, ready - first + length)
-            if m is not None:
-                hit = first + m.start()
-            anchor = ready + 1
+        left = stop - first - len(buf)
+        buf += (stream.next_block() if left >= stream.block_size else stream.take(left)).data
+        m = search(buf, anchor - first)
+        if m is not None:
+            hit = first + m.start()
+        anchor = max(anchor, first + len(buf) - length + 1)
 
     if hit is None:
         return SearchResult(False, None, None, (), (), limit, limit, matcher.base)
 
-    end = hit + length - 1
-    while first + len(buf) - 1 < end + context_width:
-        buf += stream.next_block().data
     i = hit - first
+    buf += stream.take(max(0, i + length + context_width - len(buf))).data
     window = DigitBlock(matcher.base, hit, buf[i:i + length])
     before = tuple(buf[max(0, i - context_width):i])
     after = tuple(buf[i + length:i + length + context_width])
-    return SearchResult(True, hit, window, before, after, end, limit, matcher.base)
+    examined = hit + length - start
+    return SearchResult(True, hit, window, before, after, examined, limit, matcher.base)
 
 
 def find_digit(stream: DigitStream, digit: int, limit: int,

@@ -172,8 +172,8 @@ class TestSearchCommand:
         assert code == EXIT_OK and record["P"] == [1, 7] and record["Q"] == [0, 3]
 
     def test_block_size_past_the_limit(self):
-        # a block is never longer than the digits the search can read, so a
-        # huge --block-size costs no more than the default and prints the same
+        # no read goes past limit + context width, so a huge --block-size
+        # costs no more than the default and prints the same
         import subprocess
         import sys
         from pathlib import Path

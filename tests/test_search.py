@@ -41,6 +41,25 @@ def naive_scan(digits, matcher, limit):
     return None
 
 
+@pytest.fixture
+def refill_targets(monkeypatch):
+    """The digit counts each refill of a recomputed constant computes to, in order."""
+    import sagan.digits as digits_mod
+    targets = []
+    real = digits_mod._computed
+
+    def recording(*args):
+        digits = real(*args)
+
+        def refill(count, done):
+            targets.append(count)
+            return digits(count, done)
+        return refill
+
+    monkeypatch.setattr(digits_mod, "_computed", recording)
+    return targets
+
+
 class TestCompile:
     def test_plain_matcher_sets(self):
         matcher = compile(rasterize_naive(2), 10)
@@ -68,6 +87,15 @@ class TestCompile:
         compile(gp, 8)  # base > max digit is enough
         with pytest.raises(BaseTooSmall):
             compile(shape, 1)
+
+    def test_admits_checks_runs_without_expanding(self):
+        matcher = compile(rasterize_center(4096), 10)
+        window = bytearray(b"".join(bytes((min(s),)) * count for s, count in matcher.runs))
+        assert matcher.admits(window)
+        window[-1] ^= 1
+        assert not matcher.admits(window)
+        assert not matcher.admits(window[:-1])
+        assert matcher._admissible is None  # no per-cell tuple of 16.7M sets
 
 
 class TestFindFirst:
@@ -120,24 +148,60 @@ class TestFindFirst:
         assert hit.found and hit.position == 1 and hit.digits_examined == 4
 
 
-    def test_refills_stop_at_the_limit(self, monkeypatch):
-        import sagan.digits as digits_mod
-        computed = []
-        real = digits_mod._computed
-
-        def recording(*args):
-            digits = real(*args)
-
-            def refill(count, done):
-                computed.append(count)
-                return digits(count, done)
-            return refill
-
-        monkeypatch.setattr(digits_mod, "_computed", recording)
+    def test_refills_stop_at_the_limit(self, refill_targets):
         result = find_first(open_stream(PI, 10, 1000), compile(rasterize_center(3), 10), 5000)
         assert not result.found and result.digits_examined == 5000
-        # geometric growth, capped at the block holding limit + context
-        assert computed == [4000, 6000]
+        # geometric growth, capped at limit + context
+        assert refill_targets == [4000, 5012]
+
+    def test_large_block_computes_only_limit_and_context(self, refill_targets):
+        matcher = compile(rasterize_center(1), 10)
+        result = find_first(open_stream(PI, 10, 10 ** 6), matcher, 100)
+        assert result.position == 1 and len(result.context_after) == 12
+        assert max(refill_targets) <= 112
+        refill_targets.clear()
+        chunked = find_first_chunked(PI, 10, matcher, 100, 10, block_size=10 ** 6)
+        assert chunked == result
+        assert max(refill_targets) <= 112
+
+    def test_random_block_sizes_stay_within_the_bound(self, refill_targets):
+        rng = random.Random(5000)
+        for _ in range(40):
+            matcher = compile(rasterize_center(rng.randint(1, 3)), 10)
+            limit = rng.randint(matcher.length, 20000)
+            width = rng.randint(0, 20)
+            block = rng.randint(1, 5000)
+            refill_targets.clear()
+            got = find_first(open_stream(PI, 10, block), matcher, limit, width)
+            assert max(refill_targets) <= limit + width, (block, limit, width)
+            assert got == find_first(open_stream(PI, 10, 4096), matcher, limit, width)
+
+    def test_positions_count_from_the_cursor(self):
+        rng = random.Random(103)
+        digits = list(digits_in_base(PI, 10, 3000).digits)
+        for trial in range(40):
+            matcher = random_matcher(rng, 10)
+            k = rng.randint(0, 1000)
+            limit = rng.randint(matcher.length, 1900)
+            width = rng.randint(0, 20)
+            stream = open_stream(PI, 10, rng.choice((1, 7, 64, 4096)))
+            if trial % 2:
+                stream.skip(k)
+            else:
+                stream.take(k)
+            got = find_first(stream, matcher, limit, width)
+            rest = digits[k:]
+            expected = naive_scan(rest, matcher, limit)
+            if expected is None:
+                assert not got.found and got.digits_examined == limit
+                continue
+            end = expected + matcher.length - 1
+            assert got.position == k + expected
+            assert got.window.start_position == k + expected
+            assert got.window.digits == tuple(rest[expected - 1:end])
+            assert got.context_before == tuple(rest[max(0, expected - 1 - width):expected - 1])
+            assert got.context_after == tuple(rest[end:end + width])
+            assert got.digits_examined == end
 
 
 class TestFindDigit:
@@ -197,8 +261,8 @@ class TestOracleEquivalence:
 
 
 class BytesStream:
-    """A stream stand-in over fixed digits: `base` and `next_block`, padded
-    with zeros past the end."""
+    """A stream stand-in over fixed digits: `base`, `next_block` and `take`,
+    padded with zeros past the end."""
 
     def __init__(self, base, digits, block_size):
         self.base, self.data, self.block_size = base, bytes(digits), block_size
@@ -208,10 +272,13 @@ class BytesStream:
         pass
 
     def next_block(self):
+        return self.take(self.block_size)
+
+    def take(self, count):
         start = self.cursor
-        self.cursor += self.block_size
-        chunk = self.data[start - 1:start - 1 + self.block_size]
-        return DigitBlock(self.base, start, chunk.ljust(self.block_size, b"\0"))
+        self.cursor += count
+        chunk = self.data[start - 1:start - 1 + count]
+        return DigitBlock(self.base, start, chunk.ljust(count, b"\0"))
 
 
 # bytes with a meaning inside a regex class: "-", "\\", "]", "^"
