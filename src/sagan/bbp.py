@@ -8,15 +8,13 @@ Plouffe 1997).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _arith
-from ._arith import mpz, mul
-from .digits import _SERIES_ERR, DigitBlock, _certify, _split, int_to_digit_bytes
+from ._arith import mpz
+from .digits import DEFAULT_GUARD, DigitBlock, _certify, _linear_sum, int_to_digit_bytes
 from .errors import CarryAmbiguity
 
 
@@ -64,38 +62,15 @@ def _signed_floor(num, den):
     return num // den
 
 
-def _term(formula: BBPFormula, k):
-    """(a, b) with b > 0 and a/b = p(k)/q(k), the k-th term without base**-k."""
-    dens = [formula.modulus * k + j for _, j in formula.terms]
-    b = math.prod(dens)
-    return sum(c * (b // d) for (c, _), d in zip(formula.terms, dens)), b
-
-
-def _evaluate_scaled(formula: BBPFormula, prec: int):
-    """X with |X - value * base**prec| <= returned error bound."""
-    base = formula.base
-    top = prec - formula.shift
-    if top < 0:
-        raise ValueError("precision smaller than formula shift")
-    coeff_sum = sum(abs(c) for c, _ in formula.terms)  # |c_j / (m*k + j)| <= |c_j|
-    # with |p/q| <= C = coeff_sum, the scaled tail past term top + extra is
-    # at most C * base**-extra * base/(base-1) <= 2C * base**-extra < 1
-    extra = 1
-    while base ** extra <= 2 * coeff_sum:
-        extra += 1
-    _, q, b, t = _split(lambda k: (1, base if k else 1, *_term(formula, k)),
-                        0, top + extra)
-    return _arith.divmod(mul(mpz(base) ** top, t), mul(b, q))[0], _SERIES_ERR
-
-
-def evaluate(formula: BBPFormula, digit_count: int, guard: int = 12) -> DigitBlock:
+def evaluate(formula: BBPFormula, digit_count: int, guard: int = DEFAULT_GUARD) -> DigitBlock:
     """Leading fractional digits of the series value, guard-band certified."""
     if digit_count < 1:
         raise ValueError("digit_count must be >= 1")
-    digits = _certify(lambda prec: _evaluate_scaled(formula, prec), formula.base,
-                      digit_count, guard,
+    base, d = formula.base, formula.base ** formula.shift
+    scaled = _linear_sum(tuple((c, d, formula.modulus, j, base) for c, j in formula.terms), base)
+    digits = _certify(scaled, base, digit_count, guard,
                       f"{digit_count} digits of {formula.description or formula}")
-    return DigitBlock(formula.base, 1, digits)
+    return DigitBlock(base, 1, digits)
 
 
 # ---------------------------------------------------------------------------

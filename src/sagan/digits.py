@@ -310,30 +310,35 @@ def int_to_digit_bytes(value, base: int, count: int) -> bytes:
 # moves V down by under V 2**s / Q < 2**(bl(scale) + 2 + s + 25 - bl(T)) =
 # 1/2 and up by under 2**-24; with the floor (< 1) and R's error (< 1 unit
 # times 426880 Q/T < 0.04), X stays within err = 2.
+#
+# A sum of n parts (_linear_sum) is kept 2**-g units below the unit, 2**g > 2n:
+# each part is floored there and cut where its tail is under 2**-g units, so the
+# parts' sum Y is within 2n * 2**-g < 1 unit of V, and one floor of Y keeps err = 2.
 
 _SERIES_ERR = 2
 
 
-def _combine(left, right):  # (P, Q, B, T) of two adjacent ranges, left first
-    (p1, q1, b1, t1), (p2, q2, b2, t2) = left, right
-    return mul(p1, p2), mul(q1, q2), mul(b1, b2), mul(mul(b2, q2), t1) + mul(mul(b1, p1), t2)
+def _combine(left, right):  # (P, Q, T) of two adjacent ranges, left first
+    (p1, q1, t1), (p2, q2, t2) = left, right
+    return mul(p1, p2), mul(q1, q2), mul(q2, t1) + mul(p1, t2)
 
 
 def _split(term, lo: int, hi: int):
-    """Binary splitting (Haible & Papanikolaou 1998): (P, Q, B, T) for
-    S = sum_{lo<=k<hi} a(k)/b(k) * p(lo)..p(k) / (q(lo)..q(k)), where
-    term(k) = (p, q, a, b), P, Q, B are the products of p, q, b over the
-    range, and T = B * Q * S exactly."""
+    """Binary splitting (Haible & Papanikolaou 1998): (P, Q, T) for
+    S = sum_{lo<=k<hi} a(k) * p(lo)..p(k) / (q(lo)..q(k)), where
+    term(k) = (p, q, a), P and Q are the products of p and q over the range,
+    and T = Q * S exactly. A denominator b(k) of term k goes into p(k) b(k-1)
+    and q(k) b(k), b(-1) = 1: the ratios telescope to 1/b(k) at term k."""
     if hi - lo == 1:
-        p, q, a, b = term(mpz(lo))
-        return p, q, b, a * p
+        p, q, a = term(mpz(lo))
+        return p, q, a * p
     mid = (lo + hi) // 2
     return _combine(_split(term, lo, mid), _split(term, mid, hi))
 
 
 def _series(term):
-    """upto(n): (P, Q, B, T) of the first m >= n terms, kept to split only [m, n)."""
-    state, done = None, 0  # (P, Q, B, T) of the first `done` terms
+    """upto(n): (P, Q, T) of the first m >= n terms, kept to split only [m, n)."""
+    state, done = None, 0  # (P, Q, T) of the first `done` terms
 
     def upto(n: int):
         nonlocal state, done
@@ -341,6 +346,27 @@ def _series(term):
             state, done = _combine(state, _split(term, done, n)) if done else _split(term, 0, n), n
         return state
     return upto
+
+
+def _linear_sum(parts, base: int):
+    """scaled(prec) = X, _SERIES_ERR for the sum over parts (c, d, m, j, r)
+    of c/d * sum_k r**-k / (m*k + j), d, j >= 1, r >= 2 (derived above); each
+    part is its own _series, with p = 1, q = r (1 at k = 0), a = 1, b(k) = m*k + j."""
+    g = (2 * len(parts)).bit_length()
+    series = tuple(_series(lambda k, m=m, j=j, r=r: (m * k - m + j, r * (m * k + j), 1)
+                           if k else (1, j, 1)) for _, _, m, j, r in parts)
+
+    def scaled(prec: int):
+        scale = _powers(base)(prec) << g
+        y = 0
+        for (c, d, _, _, r), upto in zip(parts, series):
+            # the tail past n terms is under 2|c| r**-n / d, and r**n > 2**bits (+1 term of
+            # float slack) makes that under 1/scale, 2**-g units: bits > log2(2|c| scale / d)
+            bits = prec * math.log2(base) + g + 1 + abs(c).bit_length() + 1 - d.bit_length()
+            _, q, t = upto(max(1, int(bits / math.log2(r)) + 2))
+            y += _arith.divmod(mul(c * scale, t), mul(d, q))[0]
+        return y >> g, _SERIES_ERR
+    return scaled
 
 
 def _root(c: int, base: int):
@@ -368,9 +394,9 @@ def _root(c: int, base: int):
 def _chudnovsky_term(k):
     # 1/pi = 12 sum_k (-1)^k (6k)! (13591409 + 545140134k) / ((3k)! k!^3 640320^(3k+3/2))
     if k == 0:
-        return 1, 1, 13591409, 1
+        return 1, 1, 13591409
     return ((6 * k - 5) * (2 * k - 1) * (6 * k - 1), k * k * k * 10939058860032000,
-            (-1) ** k * (13591409 + 545140134 * k), 1)  # q: k^3 * 640320^3 / 24
+            (-1) ** k * (13591409 + 545140134 * k))  # q: k^3 * 640320^3 / 24
 
 
 def _pi_source(base: int):
@@ -379,7 +405,7 @@ def _pi_source(base: int):
     series, root = _series(_chudnovsky_term), _root(10005, base)
 
     def scaled(prec: int):
-        _, q, _, t = series(max(2, int(prec * math.log10(base) / 14) + 2))
+        _, q, t = series(max(2, int(prec * math.log10(base) / 14) + 2))
         scale = _powers(base)(prec)
         s = max(0, t.bit_length() - scale.bit_length() - 28)
         x = _arith.divmod(mul(426880 * (q >> s), root(prec, scale)), t >> s)[0]
@@ -399,7 +425,7 @@ def _sqrt2_source(base: int):
 def _e_source(base: int):
     # e = sum_k 1/k!; the tail past N terms is below 2/N!, and N! > 2 * scale
     # once lgamma(N + 1) clears ln(scale) + 1 (ln 2 plus float slack)
-    series = _series(lambda k: (1, k or 1, 1, 1))
+    series = _series(lambda k: (1, k or 1, 1))
     terms = 2  # the last call's term count; later calls search up from it
 
     def scaled(prec: int):
@@ -414,21 +440,17 @@ def _e_source(base: int):
                 if math.lgamma(terms + step + 1) <= target:
                     terms += step
             terms += 1
-        _, q, _, t = series(terms)
+        _, q, t = series(terms)
         scale = _powers(base)(prec)
         return _arith.divmod(mul(scale, t), q)[0] - 2 * scale, _SERIES_ERR
     return scaled
 
 
 def _log2_source(base: int):
-    # ln 2 = 2 atanh(1/3) = (2/3) sum_k 9**-k / (2k+1): the tail past N terms
-    # is below 9**-N <= 1/scale (+2 terms of float slack)
-    series = _series(lambda k: (1, 9 if k else 1, 1, 2 * k + 1))
-
-    def scaled(prec: int):
-        _, q, b, t = series(int(prec * math.log(base) / math.log(9)) + 2)
-        return _arith.divmod(mul(2 * _powers(base)(prec), t), mul(3 * b, q))[0], _SERIES_ERR
-    return scaled
+    # ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749), and
+    # atanh(1/x) = 1/x * sum_k (x*x)**-k / (2k+1)
+    return _linear_sum(tuple((c, x, 2, 1, x * x) for c, x in ((18, 26), (-2, 4801), (8, 8749))),
+                       base)
 
 
 _SOURCES = {PI: _pi_source, SQRT2: _sqrt2_source, E: _e_source, LOG2: _log2_source}
@@ -764,7 +786,8 @@ class DigitStream:
         digits = _computed(self.source, self.base, DEFAULT_GUARD)
         done = 0
         while True:
-            grow = min(max(2 * done, 4 * self.block_size, 64), self._horizon)
+            read = self._need + 1 - self.cursor
+            grow = min(max(2 * done, 4 * min(self.block_size, read), 64), self._horizon)
             target = max(self._need, grow)
             yield digits(target, done)
             done = target

@@ -10,7 +10,6 @@ import pytest
 from sagan import bbp
 from sagan.bbp import (
     BBPFormula,
-    _evaluate_scaled,
     _extract_attempt,
     _head_sum,
     _signed_floor,
@@ -21,7 +20,7 @@ from sagan.bbp import (
     log2_formula,
     pi_formula,
 )
-from sagan.digits import ConstantSpec, digits_in_base
+from sagan.digits import ConstantSpec, _linear_sum, digits_in_base
 
 PI = ConstantSpec.pi()
 LOG2 = ConstantSpec.log2()
@@ -57,6 +56,20 @@ class TestFormulas:
             BBPFormula(16, 8, ((1, 9),))
 
 
+# large and negative coefficients; 2**40 * q stays in int64 below k ~ 2**20
+USER = BBPFormula(10, 7, ((2 ** 40, 1), (-(3 ** 20), 3), (-5, 7), (12345, 4)))
+
+
+def user_value(mpmath):
+    """USER's value at the working precision: its terms fall by 10 per k, so
+    the sum stops once they are far below the last bit."""
+    total, k = mpmath.mpf(0), 0
+    while k < mpmath.mp.prec / 3 + 60:
+        total += sum(mpmath.mpf(c) / (7 * k + j) for c, j in USER.terms) / mpmath.mpf(10) ** k
+        k += 1
+    return total
+
+
 class TestEvaluate:
     def test_pi_eight_hex_digits(self):
         assert evaluate(pi_formula(), 8).digits == (2, 4, 3, 15, 6, 10, 8, 8)
@@ -74,15 +87,20 @@ class TestEvaluate:
     @pytest.mark.parametrize("formula, value", [
         (pi_formula(), lambda mpmath: +mpmath.pi),
         (log2_formula(), lambda mpmath: mpmath.log(2)),
+        (USER, user_value),
     ])
     def test_scaled_value_within_err(self, formula, value):
-        # every prec in range crosses each step of the term count, including
-        # the prec just below a step, where the neglected tail is largest
+        # evaluate's parts, one per term with d = base**shift; every prec in
+        # range crosses each step of a part's term count, including the prec
+        # just below a step, where the neglected tail is largest
         import mpmath
+        base = formula.base
+        parts = tuple((c, base ** formula.shift, formula.modulus, j, base) for c, j in formula.terms)
+        scaled = _linear_sum(parts, base)
         for prec in [*range(formula.shift, 120), 1000]:
-            x, err = _evaluate_scaled(formula, prec)
-            with mpmath.workprec(prec * (formula.base - 1).bit_length() + 64):
-                diff = x - value(mpmath) * mpmath.mpf(formula.base) ** prec
+            x, err = scaled(prec)
+            with mpmath.workprec(prec * (base - 1).bit_length() + 64):
+                diff = x - value(mpmath) * mpmath.mpf(base) ** prec
                 assert abs(diff) <= err, (formula.description, prec, diff)
 
 
@@ -152,8 +170,6 @@ def scalar_head_sum(formula, top, width, start, stop):
                for k in range(start, stop) for c, j in formula.terms)
 
 
-# large and negative coefficients; 2**40 * q stays in int64 below k ~ 2**20
-USER = BBPFormula(10, 7, ((2 ** 40, 1), (-(3 ** 20), 3), (-5, 7), (12345, 4)))
 CHUNK = bbp._CHUNK
 
 

@@ -24,7 +24,7 @@ from sagan.digits import (
 )
 from sagan import digits as digits_module
 from sagan.digits import (DEFAULT_GUARD, _SOURCES, _certify, _computed, _concat_scaled,
-                          _root)
+                          _linear_sum, _root, _series, _split)
 from sagan.errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -466,6 +466,27 @@ class TestStreams:
         stream = open_stream(spec, 10, 1000)
         assert b"".join(stream.next_block().data for _ in range(100)) == whole
 
+    def test_short_first_read_computes_only_its_floor(self, monkeypatch):
+        # the first refill is 4 blocks, or 4 reads when the read is shorter,
+        # and at least 64 digits
+        first = digits_in_base(PI, 10, 10).data
+        targets = []
+        real = digits_module._computed
+
+        def recording(*args):
+            digits = real(*args)
+            return lambda count, done: targets.append(count) or digits(count, done)
+
+        monkeypatch.setattr(digits_module, "_computed", recording)
+        stream = open_stream(PI, 10, 10 ** 5)
+        assert stream.take(10).data == first
+        assert targets == [64]
+        targets.clear()
+        stream = open_stream(PI, 10, 100)
+        stream.take(1000)
+        stream.take(10)
+        assert targets == [1000, 2000]
+
     def test_determinism_across_streams(self):
         for spec in (PI, ConstantSpec.champernowne(10), ConstantSpec.fibonacci_cfrac()):
             a = open_stream(spec, 10, 64)
@@ -531,7 +552,7 @@ class TestGrowingSources:
     @pytest.mark.parametrize("spec", SERIES, ids=ConstantSpec.identifier)
     def test_held_state_stays_bounded(self, spec):
         # the state is the split of one call at the largest prec, nothing more
-        bound = {"pi": 3, "e": 2, "log2": 8, "sqrt2": 1}[spec.kind]
+        bound = {"pi": 3, "e": 2, "log2": 3, "sqrt2": 1}[spec.kind]
         for base in (2, 10, 256):
             source = _SOURCES[spec.kind](base)
             for count in (64, 1000, 2000, 4000, 8000, 16000):
@@ -572,6 +593,56 @@ class TestGrowingSources:
                     continue
                 block = stream.next_block() if step == "next" else stream.take(rng.randint(0, 500))
                 assert block.data == whole[start - 1:start - 1 + len(block)], (base, start)
+
+
+def random_poly(rng, low):
+    """k -> a random polynomial of degree <= 2 in k, its coefficients >= low."""
+    coeffs = [rng.randint(low, 9) for _ in range(rng.randint(1, 3))]
+    return lambda k: sum(c * k ** i for i, c in enumerate(coeffs))
+
+
+class TestBinarySplitting:
+    """_split and _series against exact Fraction sums, on random term
+    functions with a denominator b(k) folded into p and q."""
+
+    @staticmethod
+    def folded(rng):
+        """(term, p, q, a, b): term(k) folds b into p and q, b(-1) = 1."""
+        p, q, a = random_poly(rng, -9), random_poly(rng, 1), random_poly(rng, -9)
+        b = random_poly(rng, 1)
+        while all(b(k) == 1 for k in range(3)):
+            b = random_poly(rng, 1)
+
+        def term(k):
+            return p(k) * (b(k - 1) if k else 1), q(k) * b(k), a(k)
+        return term, p, q, a, b
+
+    def test_split_equals_fraction_sum(self):
+        rng = random.Random(1998)
+        for _ in range(200):
+            term, p, q, a, b = self.folded(rng)
+            lo = rng.randint(0, 30)
+            hi = lo + rng.randint(1, 40)
+            big_p, big_q, big_t = _split(term, lo, hi)
+            # the folded b(k-1)/b(k) ratios telescope to b(lo-1)/b(k)
+            ratio, total = Fraction(b(lo - 1) if lo else 1), Fraction(0)
+            for k in range(lo, hi):
+                ratio *= Fraction(p(k), q(k))
+                total += Fraction(a(k), b(k)) * ratio
+            assert big_p == math.prod(term(k)[0] for k in range(lo, hi))
+            assert big_q == math.prod(term(k)[1] for k in range(lo, hi))
+            assert Fraction(big_t, big_q) == total, (lo, hi)
+
+    def test_extended_series_equals_one_split(self):
+        rng = random.Random(1997)
+        for _ in range(200):
+            term = self.folded(rng)[0]
+            upto, n = _series(term), 0
+            for _ in range(rng.randint(1, 5)):
+                n += rng.randint(1, 30)
+                state = upto(n)
+            assert state == _split(term, 0, n)
+            assert upto(rng.randint(1, n)) == state  # fewer terms: the held state
 
 
 class TestSeededRoot:
@@ -665,6 +736,37 @@ class TestSeriesBounds:
         for base, prec in sorted(self.CASES, reverse=not rising):
             source = sources.setdefault(base, _SOURCES[kind](base))
             self.check(kind, base, prec, *source(prec))
+
+    @staticmethod
+    def linear_sum_value(mpmath, parts):
+        # |c| < 2**40: the terms left out sum to far below the last bit
+        total, tiny = mpmath.mpf(0), mpmath.mpf(2) ** -(mpmath.mp.prec + 60)
+        for c, d, m, j, r in parts:
+            k, term = 0, mpmath.mpf(1)
+            while term > tiny:
+                total += c * term / (m * k + j) / d
+                term /= r
+                k += 1
+        return total
+
+    def test_random_linear_sums_within_err(self):
+        # sums of parts c/d * sum_k r**-k / (m*k + j) with few terms per part
+        # (small r) and large and negative coefficients
+        import mpmath
+        rng = random.Random(1997)
+        for _ in range(40):
+            parts = tuple((rng.choice((1, -1)) * rng.randint(0, 10 ** rng.randint(0, 12)),
+                           rng.randint(1, 10 ** rng.randint(0, 6)), rng.randint(1, 8),
+                           rng.randint(1, 8), rng.randint(2, 40))
+                          for _ in range(rng.randint(1, 5)))
+            base = rng.choice((2, 3, 10, 256))
+            scaled = _linear_sum(parts, base)
+            with mpmath.workprec(80 * 8 + 96):
+                value = self.linear_sum_value(mpmath, parts)
+                for prec in sorted(rng.sample(range(1, 80), 12)):
+                    x, err = scaled(prec)
+                    diff = x - value * mpmath.mpf(base) ** prec
+                    assert abs(diff) <= err, (parts, base, prec, diff)
 
 
 class TestConcatScaledBound:
