@@ -88,7 +88,8 @@ def _head_sum(formula: BBPFormula, top: int, width: int, start: int, stop: int) 
     residues and remainders stay below q, products of two below 2**62 and
     remainders shifted by _LIMB = 32 bits below 2**63; |c| * q < 2**63 is
     checked, and a row sums at most q values below 2**32 or below |c|.
-    Other chunks run the same code on Python ints (dtype=object)."""
+    Other chunks run the same code on Python ints (dtype=object). The
+    exponents top - k are int64 in every chunk, so top < 2**63."""
     base, m = formula.base, formula.modulus
     coeffs, offsets = zip(*formula.terms)
     signs = [1 if c >= 0 else -1 for c in coeffs]
@@ -183,6 +184,8 @@ def digit_extract_info(formula: BBPFormula, position: int, count: int):
         raise ValueError("position is 1-indexed")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if position - 1 - formula.shift >= 2**63:
+        raise ValueError(f"position must be at most 2**63 + shift = {2**63 + formula.shift}")
     for guard_bits in _GUARD_BITS:
         digits = _extract_attempt(formula, position, count, guard_bits)
         if digits is not None:

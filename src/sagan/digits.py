@@ -300,22 +300,43 @@ def int_to_digit_bytes(value, base: int, count: int) -> bytes:
 # ---------------------------------------------------------------------------
 # scaled-fraction sources: scaled(prec) = X, err with |X - frac(value) * base**prec| <= err
 #
-# Each series is one _split sum and one floor division, so X is off by under
-# one unit from that floor plus the scaled tail past the last term (and any
-# rounding of the division's inputs), which the term count keeps below one
-# unit; extra terms only shrink the tail. Integer offsets (frac(e) = e - 2)
-# are exact: err = 2. pi divides at its quotient's size: V = 426880 R Q / T
-# < 4 scale for the root R, and T / Q, the partial Chudnovsky sum, is in
-# (2**23, 2**24), so shifting Q and T right by s = bl(T) - bl(scale) - 28
-# moves V down by under V 2**s / Q < 2**(bl(scale) + 2 + s + 25 - bl(T)) =
-# 1/2 and up by under 2**-24; with the floor (< 1) and R's error (< 1 unit
-# times 426880 Q/T < 0.04), X stays within err = 2.
+# Each series is one _split sum and one _quotient, so X is off from the scaled
+# value V by the division's error plus the scaled tail past the last term,
+# which the term count keeps below one unit; extra terms only shrink the tail.
+# Integer offsets (frac(e) = e - 2) are exact: err = 2.
 #
-# A sum of n parts (_linear_sum) is kept 2**-g units below the unit, 2**g > 2n:
-# each part is floored there and cut where its tail is under 2**-g units, so the
-# parts' sum Y is within 2n * 2**-g < 1 unit of V, and one floor of Y keeps err = 2.
+# _quotient(m, t, q), q > 0, shifts t and q right by the least s >= 0 that
+# leaves q' = q >> s at most bl(m) + _SLACK bits and returns floor(m t' / q'),
+# t' = t >> s. With t = 2**s t' + a and q = 2**s q' + b, 0 <= a, b < 2**s,
+#     |m t/q - m t'/q'| = |m (a q' - b t')| / (q q') < |m| 2**s (q' + |t'|) / (q q'),
+# and for s > 0, 2**s q' <= q, 2**s |t'| <= |t| + 2**s and
+# q' >= 2**(bl(m) + _SLACK - 1) > |m| 2**(_SLACK - 1) take that under
+#     2**(1 - _SLACK) (1 + |t/q| + 2**(1 - _SLACK)) < 2**(3 - _SLACK) = 2**-29
+# for |t/q| < e, so each division is off by under 1 + 2**-29. The callers:
+# - pi, _quotient(426880 R, Q, T), R = isqrt(10005 scale**2): T/Q, the partial
+#   Chudnovsky sum, is over 1.3e7 > 2**23, so |t/q| < 2**-23; with R's error
+#   (< 1 unit times 426880 Q/T < 0.04) and a tail far below one unit, X stays
+#   within err = 2.
+# - e, _quotient(scale, T, Q): T/Q < e, and the tail is under 3/4 unit: err = 2.
+# - a part of _linear_sum, _quotient(c scale, T, d Q): T/(d Q) < 1/(1 - 1/r) <= 2.
+#
+# A sum of n parts (_linear_sum) is kept 2**-g units below the unit, 2**g > 2n,
+# so 2**g >= 2n + 2 (both even): each part is cut where its tail is under 2**-g
+# units and divided there, so the parts' sum Y is within n (2 + 2**-29) 2**-g
+# <= 1 unit of V for n <= 2**30 parts, and one floor of Y keeps err = 2. That n
+# sets _SLACK = 32, the least slack that holds it (pi needs 2 and e 5); a tuple
+# of 2**30 parts would not fit in memory.
 
 _SERIES_ERR = 2
+_SLACK = 32
+
+
+def _quotient(m, t, q):
+    """floor(m t' / q') for q > 0, t' and q' being t and q shifted right
+    together until q' has at most bl(m) + _SLACK bits: under 1 + 2**-29 from
+    m t / q while |t/q| < e (derived above)."""
+    s = max(0, q.bit_length() - m.bit_length() - _SLACK)
+    return _arith.divmod(mul(m, t >> s), q >> s)[0]
 
 
 def _combine(left, right):  # (P, Q, T) of two adjacent ranges, left first
@@ -364,7 +385,7 @@ def _linear_sum(parts, base: int):
             # float slack) makes that under 1/scale, 2**-g units: bits > log2(2|c| scale / d)
             bits = prec * math.log2(base) + g + 1 + abs(c).bit_length() + 1 - d.bit_length()
             _, q, t = upto(max(1, int(bits / math.log2(r)) + 2))
-            y += _arith.divmod(mul(c * scale, t), mul(d, q))[0]
+            y += _quotient(c * scale, t, d * q)
         return y >> g, _SERIES_ERR
     return scaled
 
@@ -407,9 +428,7 @@ def _pi_source(base: int):
     def scaled(prec: int):
         _, q, t = series(max(2, int(prec * math.log10(base) / 14) + 2))
         scale = _powers(base)(prec)
-        s = max(0, t.bit_length() - scale.bit_length() - 28)
-        x = _arith.divmod(mul(426880 * (q >> s), root(prec, scale)), t >> s)[0]
-        return x - 3 * scale, _SERIES_ERR
+        return _quotient(426880 * root(prec, scale), q, t) - 3 * scale, _SERIES_ERR
     return scaled
 
 
@@ -423,8 +442,8 @@ def _sqrt2_source(base: int):
 
 
 def _e_source(base: int):
-    # e = sum_k 1/k!; the tail past N terms is below 2/N!, and N! > 2 * scale
-    # once lgamma(N + 1) clears ln(scale) + 1 (ln 2 plus float slack)
+    # e = sum_k 1/k!; the tail past N >= 2 terms is below 3/(2 N!), and N! > 2 * scale
+    # once lgamma(N + 1) clears ln(scale) + 1 (ln 2 plus float slack): under 3/4 unit
     series = _series(lambda k: (1, k or 1, 1))
     terms = 2  # the last call's term count; later calls search up from it
 
@@ -442,7 +461,7 @@ def _e_source(base: int):
             terms += 1
         _, q, t = series(terms)
         scale = _powers(base)(prec)
-        return _arith.divmod(mul(scale, t), q)[0] - 2 * scale, _SERIES_ERR
+        return _quotient(scale, t, q) - 2 * scale, _SERIES_ERR
     return scaled
 
 

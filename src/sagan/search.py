@@ -201,6 +201,9 @@ def expected_position(base: int, window_length: int) -> Decimal:
     log10_base = ctx.divide(ctx.ln(Decimal(base)), ctx.ln(Decimal(10)))
     e = ctx.multiply(Decimal(window_length), log10_base)
     exponent = int(e)
+    if exponent > _CTX.Emax:
+        raise ValueError(f"base**window_length is at least 10**{_CTX.Emax + 1}, "
+                         "past decimal.MAX_EMAX")
     mantissa = ctx.power(Decimal(10), ctx.subtract(e, Decimal(exponent)))
     return _CTX.plus(ctx.scaleb(mantissa, Decimal(exponent)))
 
@@ -236,7 +239,11 @@ def cost_estimate(expected_digits, ns_per_digit=1) -> CostEstimate:
     ns = _as_decimal(ns_per_digit)
     if digits <= 0 or ns <= 0:
         raise ValueError("expected_digits and ns_per_digit must be positive")
-    total_ns = _CTX.multiply(digits, ns)
+    try:
+        total_ns = _CTX.multiply(digits, ns)
+    except decimal.Overflow:
+        raise ValueError(f"expected_digits * ns_per_digit is at least 10**{_CTX.Emax + 1}, "
+                         "past decimal.MAX_EMAX") from None
     seconds = _CTX.divide(total_ns, Decimal("1E+9"))
     years = _CTX.divide(total_ns, NANOSECONDS_PER_YEAR)
     ages = _CTX.divide(years, UNIVERSE_AGE_YEARS)

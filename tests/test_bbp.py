@@ -151,6 +151,15 @@ class TestDigitExtract:
         with pytest.raises(TypeError):
             digit_extract(object(), 1, 4)
 
+    def test_rejects_positions_past_int64_exponents(self):
+        # the head sum's exponents position - 1 - shift - k are int64
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            digit_extract(pi_formula(), 2 ** 64, 1)
+        with pytest.raises(ValueError):
+            extract_digits(pi_formula(), 2 ** 63 + 1, 1)
+        with pytest.raises(ValueError):
+            digit_extract_info(log2_formula(), 2 ** 63 + 2, 1)
+
 
 class TestExtractDigits:
     def test_chained_window(self):

@@ -221,6 +221,11 @@ class TestBbpCommand:
                            "--position", "1", "--count", "8")
         assert code == EXIT_OK and out.startswith("10110001")
 
+    def test_position_past_int64_exponents(self, capsys):
+        code, out, err = run(capsys, "bbp", "--position", "9223372036854775809", "--count", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: position must be at most") and "Traceback" not in err
+
 
 class TestNormalityCommand:
     def test_table_output(self, capsys):
@@ -256,6 +261,19 @@ class TestEstimateCommand:
         record = json.loads(out)
         assert record["expected_digits"] == "1.024e3"
         assert record["cpu_years"] == "3.200e-14"  # 1024 / 3.2e16
+
+    @pytest.mark.parametrize("argv", (("--window", "1000000000000000000"),
+                                      ("-n", "1000000000"),
+                                      ("--window", "999999999999999999", "--ns-per-digit", "10")),
+                             ids=("window", "n", "cost"))
+    def test_past_the_decimal_exponent_limit(self, capsys, argv):
+        code, out, err = run(capsys, "estimate", "--base", "10", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "MAX_EMAX" in err and "Traceback" not in err
+
+    def test_at_the_decimal_exponent_limit(self, capsys):
+        code, out, _ = run(capsys, "estimate", "--base", "10", "--window", "999999999999999999")
+        assert code == EXIT_OK and out.startswith("1.000e999999999999999999 digits")
 
 
 class TestGlyphs:

@@ -22,9 +22,10 @@ from sagan.digits import (
     open_stream,
     primes,
 )
+from sagan import _arith, bbp
 from sagan import digits as digits_module
 from sagan.digits import (DEFAULT_GUARD, _SOURCES, _certify, _computed, _concat_scaled,
-                          _linear_sum, _root, _series, _split)
+                          _linear_sum, _quotient, _root, _series, _split)
 from sagan.errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -682,7 +683,7 @@ class TestHighPrecisionOracle:
         }
         for name, make in sources.items():
             spec = ConstantSpec.parse(name)
-            for base, count in ((10, 500), (16, 300), (2, 600)):
+            for base, count in ((10, 500), (16, 300), (2, 600), (3, 600), (11, 500), (256, 200)):
                 with mpmath.workdps(int(count * mpmath.log(base, 10)) + 40):
                     frac = make()
                     frac -= int(frac)
@@ -767,6 +768,118 @@ class TestSeriesBounds:
                     x, err = scaled(prec)
                     diff = x - value * mpmath.mpf(base) ** prec
                     assert abs(diff) <= err, (parts, base, prec, diff)
+
+
+class TestQuotient:
+    """_quotient(m, t, q) against exact Fraction values. The _SERIES_ERR
+    derivation bounds its shift error by 2**(1 - SLACK) (1 + |t/q| +
+    2**(1 - SLACK)), reached when both shifted-out remainders are 2**s - 1
+    and t < 0 (for t > 0 their errors partly cancel), the shifted divisor
+    has its fewest bits, |m| has all its bits set and |t/q| is at a
+    caller's bound."""
+
+    SLACK = 32  # the least slack the derivation allows (2**30 linear-sum parts)
+    RATIOS = {"pi": Fraction(1, 2 ** 23), "e": Fraction(math.e), "linear": Fraction(2)}
+
+    @classmethod
+    def bound(cls, t, q):
+        unit = Fraction(1, 2 ** (cls.SLACK - 1))
+        return unit * (1 + abs(Fraction(t, q)) + unit)
+
+    @classmethod
+    def tight(cls, m_sign, t_sign, ratio):
+        """(m, t, q) as above, with t' and q' odd, |t/q| within 0.5% under
+        `ratio`, and m t / q past the bound, by at most a quarter of it,
+        from the integer that the shift error moves m t' / q' toward."""
+        bits, s = 64, 48
+        m, rem = m_sign * (2 ** bits - 1), 2 ** s - 1
+        q_hi = 2 ** (bits + cls.SLACK - 1) + 1
+        q = (q_hi << s) + rem
+        # m t/q - m t'/q' = m rem (q' - t') / (q q'): its sign picks the side
+        toward = m_sign if t_sign < 0 or ratio < 1 else -m_sign
+        offset = cls.bound(ratio, 1) * 9 / 8
+        for j in range(1, 5000):
+            near = math.floor(m * t_sign * ratio * (1 - Fraction(j, 10 ** 6)))
+            target = near + (offset if toward > 0 else 1 - offset)
+            t_hi = math.floor((target * q / m - rem) / 2 ** s) | 1
+            t = (t_hi << s) + rem
+            v, limit = Fraction(m * t, q), cls.bound(t, q)
+            gap = v - math.floor(v) if toward > 0 else math.ceil(v) - v
+            if limit < gap <= limit * 5 / 4:
+                return m, t, q
+        raise AssertionError("no operands in the window")
+
+    @pytest.mark.parametrize("ratio", RATIOS.values(), ids=RATIOS.keys())
+    @pytest.mark.parametrize("m_sign, t_sign", ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+    def test_floor_where_the_bound_is_tight(self, m_sign, t_sign, ratio):
+        m, t, q = self.tight(m_sign, t_sign, ratio)
+        assert q.bit_length() - m.bit_length() - self.SLACK == 48  # the shift s
+        assert abs(Fraction(t, q)) < ratio
+        assert _quotient(m, t, q) == math.floor(Fraction(m * t, q))
+
+    def test_random_operands_within_bound(self):
+        rng = random.Random(1998)
+        for _ in range(2000):
+            m = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 200))
+            q = rng.getrandbits(rng.randint(1, 300)) | 1
+            t = rng.choice((1, -1)) * rng.randint(0, 3 * q)
+            v = Fraction(m * t, q) - _quotient(m, t, q)
+            limit = self.bound(t, q)
+            assert -limit < v < 1 + limit, (m, t, q)
+
+
+class TestDivisionSize:
+    """Each series divides at its quotient's size. _quotient keeps the
+    divisor at bl(m) + _SLACK bits, and the quotient m t / q is shorter than
+    m by under 2 + log2|q/t| bits. SHORTER holds that log2, rounded up, for
+    the smallest |t/q| a source passes: pi's Q/T > 2**-24, e's T/Q > 1, log
+    2's part 8/8749 atanh(1/8749) and BBP parts T/(d Q) >= 1/6 (pi) and
+    >= 1/2 (log 2)."""
+
+    SHORTER = {"pi": 24, "e": 0, "log2": 14}
+    BBP = {"pi": (bbp.pi_formula(), 3), "log2": (bbp.log2_formula(), 1)}
+
+    @staticmethod
+    def series_divisions(monkeypatch, run):
+        """(divisor bits, quotient bits) of each division made inside a
+        scaled source while run() runs."""
+        sizes, inside = [], []
+        real_divmod, real_certify = _arith.divmod, digits_module._certify
+
+        def traced_divmod(a, b):
+            q, r = real_divmod(a, b)
+            if inside:
+                sizes.append((b.bit_length(), q.bit_length()))
+            return q, r
+
+        def traced_certify(scaled, *args, **kwargs):
+            def traced(prec):
+                inside.append(prec)
+                try:
+                    return scaled(prec)
+                finally:
+                    inside.pop()
+            return real_certify(traced, *args, **kwargs)
+
+        monkeypatch.setattr(_arith, "divmod", traced_divmod)
+        monkeypatch.setattr(digits_module, "_certify", traced_certify)
+        monkeypatch.setattr(bbp, "_certify", traced_certify)
+        run()
+        assert sizes
+        return sizes
+
+    @pytest.mark.parametrize("name", sorted(SHORTER))
+    @pytest.mark.parametrize("base", (10, 256))
+    def test_constants(self, name, base, monkeypatch):
+        sizes = self.series_divisions(
+            monkeypatch, lambda: digits_in_base(ConstantSpec.parse(name), base, 20000))
+        assert max(d - q for d, q in sizes) <= digits_module._SLACK + 2 + self.SHORTER[name], sizes
+
+    @pytest.mark.parametrize("name", sorted(BBP))
+    def test_bbp_evaluate(self, name, monkeypatch):
+        formula, shorter = self.BBP[name]
+        sizes = self.series_divisions(monkeypatch, lambda: bbp.evaluate(formula, 20000))
+        assert max(d - q for d, q in sizes) <= digits_module._SLACK + 2 + shorter, sizes
 
 
 class TestConcatScaledBound:

@@ -1,6 +1,7 @@
 """Search tests. The authoritative matcher semantics is the naive
 window-by-window scan implemented here; the streaming matcher must agree."""
 
+import decimal
 import random
 import sys
 import time
@@ -450,6 +451,15 @@ class TestExpectedPosition:
         with mpmath.workdps(40):
             oracle = int(mpmath.floor(window * mpmath.log(11, 10)))
         assert value.adjusted() == oracle == 208862410086
+
+    def test_past_the_decimal_exponent_limit(self):
+        assert expected_position(10, decimal.MAX_EMAX).adjusted() == decimal.MAX_EMAX
+        with pytest.raises(ValueError, match="MAX_EMAX"):
+            expected_position(10, decimal.MAX_EMAX + 1)
+        with pytest.raises(ValueError, match="MAX_EMAX"):
+            expected_position(2, 10 ** 30)
+        with pytest.raises(ValueError, match="MAX_EMAX"):
+            cost_estimate(expected_position(10, decimal.MAX_EMAX), 10)
 
 
 class TestClassFrequencyGain:
