@@ -55,19 +55,19 @@ def log2_formula() -> BBPFormula:
     return BBPFormula(2, 1, ((1, 1),), shift=1, description="log 2 in base 2")
 
 
-def _signed_floor(num, den):
-    """num/den truncated toward zero: |result - num/den| < 1 for den > 0."""
-    if num < 0:
-        return -((-num) // den)
-    return num // den
+def _parts(formula: BBPFormula, head: int, d: int) -> tuple:
+    """_linear_sum's parts for the terms k >= head of the series, divided by
+    d and indexed by i = k - head: one (c, d, m, m*head + j, base) per term."""
+    m = formula.modulus
+    return tuple((c, d, m, m * head + j, formula.base) for c, j in formula.terms)
 
 
 def evaluate(formula: BBPFormula, digit_count: int, guard: int = DEFAULT_GUARD) -> DigitBlock:
     """Leading fractional digits of the series value, guard-band certified."""
     if digit_count < 1:
         raise ValueError("digit_count must be >= 1")
-    base, d = formula.base, formula.base ** formula.shift
-    scaled = _linear_sum(tuple((c, d, formula.modulus, j, base) for c, j in formula.terms), base)
+    base = formula.base
+    scaled = _linear_sum(_parts(formula, 0, base ** formula.shift), base)
     digits = _certify(scaled, base, digit_count, guard,
                       f"{digit_count} digits of {formula.description or formula}")
     return DigitBlock(base, 1, digits)
@@ -127,34 +127,37 @@ def _head_sum(formula: BBPFormula, top: int, width: int, start: int, stop: int) 
     return total
 
 
+# base**(position-1) * value = sum_k sum_(c, j) c base**(top-k) / (m*k + j)
+# with top = position - 1 - shift, and _scaled_fraction keeps its fraction
+# in width bits, modulo 2**width:
+# - the head, k < head = max(0, top + 1), has exponents top - k >= 0, so
+#   c (base**(top-k) mod q) / q differs from the term by an integer; _head_sum
+#   truncates each of these toward zero, under one unit off: head * len(terms).
+# - the tail, k = head + i, is sum_i (c/d) base**-i / (m*i + m*head + j) with
+#   d = base**(head - top) >= 1: one _linear_sum part per term with offset
+#   j' = m*head + j >= 1, so T/(d Q) <= sum_i base**-i / j' < 2 and the bound
+#   derived in digits.py holds: X is within its err, _SERIES_ERR, units of
+#   the tail.
+# acc is thus within head * len(terms) + _SERIES_ERR units of the scaled
+# fraction (modulo 2**width), whatever the width.
+
+def _scaled_fraction(formula: BBPFormula, position: int, width: int):
+    """acc, err: frac(base**(position-1) * value) * 2**width, modulo 2**width."""
+    top = position - 1 - formula.shift
+    head = max(0, top + 1)
+    tail, err = _linear_sum(_parts(formula, head, formula.base ** (head - top)), 2)(width)
+    acc = (_head_sum(formula, top, width, 0, head) + tail) % (1 << width)
+    return acc, head * len(formula.terms) + err
+
+
 def _extract_attempt(formula: BBPFormula, position: int, count: int, guard_bits: int):
-    """Fixed-point fractional accumulation of base**(position-1) * value."""
+    """The window's digits from _scaled_fraction, or None when a carry
+    could still reach them."""
     base = formula.base
-    m = formula.modulus
     bits_per_digit = max(1, (base - 1).bit_length())
     width = count * bits_per_digit + guard_bits
     mod = 1 << width
-    top = position - 1 - formula.shift
-    coeff_sum = sum(abs(c) for c, _ in formula.terms)
-
-    # head: integer parts drop out modulo 1 via modular exponentiation
-    head = max(0, top + 1)
-    acc = _head_sum(formula, top, width, 0, head) % mod
-    divisions = head * len(formula.terms)
-    # tail: terms with negative exponent until they underflow the register
-    k = head
-    while True:
-        e = top - k
-        scale = mpz(base) ** (-e)
-        if scale * m * max(k, 1) > mod * coeff_sum:
-            break
-        for c, j in formula.terms:
-            q = (m * k + j) * scale
-            acc = (acc + _signed_floor(mpz(c) << width, q)) % mod
-            divisions += 1
-        k += 1
-
-    err = divisions + 2 * len(formula.terms) + 2
+    acc, err = _scaled_fraction(formula, position, width)
     value = acc * mpz(base) ** count
     digits_scaled, rem = divmod(value, mod)
     # carry ambiguity: the window is trusted only when the residue keeps a

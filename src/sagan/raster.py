@@ -245,17 +245,14 @@ def chessboard_crossed_cells(n: int) -> int:
     """Cells containing an arc segment, from lattice-line crossing counts.
 
     The circle meets no cell corner, so every visited cell is entered
-    through exactly one grid-line crossing.
+    through exactly one grid-line crossing. Each family has 2n - 1 interior
+    lines, k = 1 .. 2n-1, at distance |k - n| <= n - 1 from the center,
+    below the radius n - 1/2, so the circle crosses every one twice and
+    the two families give 2 * 2 * (2n - 1) crossings.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    crossings = 0
-    # interior grid lines k = 1 .. 2n-1; the circle crosses line k twice
-    # when its distance |k - n| from the center is below the radius
-    for k in range(1, 2 * n):
-        if 2 * abs(k - n) < 2 * n - 1:
-            crossings += 2
-    return 2 * crossings  # vertical plus horizontal families
+    return 4 * (2 * n - 1)
 
 
 def chessboard_interior_cells(n: int) -> int:

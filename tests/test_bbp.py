@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from sagan import bbp
+from sagan import bbp, digits
 from sagan.bbp import (
     BBPFormula,
     _extract_attempt,
     _head_sum,
-    _signed_floor,
+    _scaled_fraction,
     digit_extract,
     digit_extract_info,
     evaluate,
@@ -20,7 +20,7 @@ from sagan.bbp import (
     log2_formula,
     pi_formula,
 )
-from sagan.digits import ConstantSpec, _linear_sum, digits_in_base
+from sagan.digits import _SERIES_ERR, ConstantSpec, _linear_sum, digits_in_base
 
 PI = ConstantSpec.pi()
 LOG2 = ConstantSpec.log2()
@@ -95,8 +95,7 @@ class TestEvaluate:
         # just below a step, where the neglected tail is largest
         import mpmath
         base = formula.base
-        parts = tuple((c, base ** formula.shift, formula.modulus, j, base) for c, j in formula.terms)
-        scaled = _linear_sum(parts, base)
+        scaled = _linear_sum(bbp._parts(formula, 0, base ** formula.shift), base)
         for prec in [*range(formula.shift, 120), 1000]:
             x, err = scaled(prec)
             with mpmath.workprec(prec * (base - 1).bit_length() + 64):
@@ -170,6 +169,13 @@ class TestExtractDigits:
     def test_short_window_passthrough(self):
         assert extract_digits(pi_formula(), 9, 4).digits == \
             digit_extract(pi_formula(), 9, 4).digits
+
+
+def _signed_floor(num, den):
+    """num/den truncated toward zero: |result - num/den| < 1 for den > 0."""
+    if num < 0:
+        return -((-num) // den)
+    return num // den
 
 
 def scalar_head_sum(formula, top, width, start, stop):
@@ -252,3 +258,77 @@ class TestWideWindows:
         scalar = [_extract_attempt(formula, p, 4, 20) for p in positions]
         assert fast == scalar
         assert None in fast and any(w is not None for w in fast)
+
+    @pytest.mark.parametrize("formula, spec, positions", [
+        (pi_formula(), PI, (1, 17)),
+        (log2_formula(), LOG2, (1, 5)),
+    ], ids=["pi", "log2"])
+    def test_3000_digits(self, formula, spec, positions):
+        native = digits_in_base(spec, formula.base, 3020).digits
+        for p in positions:
+            assert extract_digits(formula, p, 3000).digits == native[p - 1:p + 2999], p
+
+    @pytest.mark.parametrize("formula", [pi_formula(), log2_formula()], ids=["pi", "log2"])
+    def test_one_tail_quotient_per_term(self, formula, monkeypatch):
+        # the tail is one _linear_sum part per formula term, at every width
+        calls, quotient = [], digits._quotient
+        monkeypatch.setattr(digits, "_quotient",
+                            lambda *args: calls.append(args) or quotient(*args))
+        for count in (1, 8, 100, 3000):
+            calls.clear()
+            _extract_attempt(formula, 17, count, 64)
+            assert len(calls) == len(formula.terms), count
+
+
+def series_fraction(formula, terms):
+    """The first `terms` terms of the value as a Fraction, and a bound on the
+    rest: sum_{k>=terms} |c| base**-k / (m*k + j) <= 2 sum|c| base**-terms."""
+    base, m = formula.base, formula.modulus
+    head = sum(Fraction(c, (m * k + j) * base ** k)
+               for k in range(terms) for c, j in formula.terms)
+    rest = Fraction(2 * sum(abs(c) for c, _ in formula.terms), base ** terms)
+    return head / base ** formula.shift, rest / base ** formula.shift
+
+
+class TestScaledFraction:
+    @pytest.mark.parametrize("formula", [pi_formula(), log2_formula(), USER],
+                             ids=["pi", "log2", "user"])
+    def test_within_err_of_exact_sum(self, formula):
+        # positions 1..200; position p takes every 37th width from 8 + p % 37
+        # up to 600, so together they take every width in 8..600. The exact
+        # sum's rest, times base**199 * 2**600, stays below 2**-64 units.
+        base = formula.base
+        coeffs = sum(abs(c) for c, _ in formula.terms)
+        terms = 200 + (600 + 64 + 2 + coeffs.bit_length()) // (base.bit_length() - 1)
+        value, rest = series_fraction(formula, terms)
+        assert rest * base ** 199 * 2 ** 600 < Fraction(1, 2 ** 64)
+        for p in range(1, 201):
+            frac = value * base ** (p - 1) % 1
+            for width in range(8 + p % 37, 601, 37):
+                acc, err = _scaled_fraction(formula, p, width)
+                mod = 1 << width
+                diff = (acc - frac * mod + mod // 2) % mod - mod // 2
+                assert abs(diff) + rest * base ** (p - 1) * mod <= err, (p, width, float(diff))
+
+
+class TestCarryMargin:
+    @pytest.mark.parametrize("formula", [pi_formula(), log2_formula()], ids=["pi", "log2"])
+    @pytest.mark.parametrize("position, count", [(1, 1), (2, 8), (300, 3)])
+    def test_residue_at_the_margin_edges(self, formula, position, count, monkeypatch):
+        # the residue rem = acc * base**count mod 2**width is a multiple of
+        # step = base**count (both bases are powers of two), so the residue
+        # one step below an edge is step below it; _head_sum is replaced by a
+        # value that puts acc = rem // step, which sets digits_scaled to 0
+        base, guard = formula.base, 64
+        width = count * (base - 1).bit_length() + guard
+        mod, step = 1 << width, base ** count
+        head = max(0, position - formula.shift)
+        margin = (head * len(formula.terms) + _SERIES_ERR) * step * 256
+        monkeypatch.setattr(bbp, "_head_sum", lambda *args: 0)
+        tail = _scaled_fraction(formula, position, width)[0]
+        for rem, accepted in [(margin, True), (margin - step, False),
+                              (mod - margin - step, True), (mod - margin, False)]:
+            monkeypatch.setattr(bbp, "_head_sum", lambda *args, acc=rem // step: acc - tail)
+            got = _extract_attempt(formula, position, count, guard)
+            assert (got is not None) == accepted, (rem, margin)
+            assert got in (None, bytes(count))

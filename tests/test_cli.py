@@ -347,3 +347,21 @@ class TestConsoleScript:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "161507"
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv, code, out", [
+        (["digits", "--constant", "pi", "--base", "11", "--count", "6"], EXIT_OK, "161507"),
+        (["circle", "-n", "0"], EXIT_USAGE, ""),
+    ])
+    def test_python_m_sagan(self, argv, code, out):
+        # runs from the source tree, as no console script can be assumed installed
+        import os
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "sagan", *argv], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.strip() == out
