@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arith import mpz
-from .digits import DEFAULT_GUARD, DigitBlock, _certify, _linear_sum, int_to_digit_bytes
-from .errors import CarryAmbiguity
+from .digits import DEFAULT_GUARD, DigitBlock, _certify, _linear_sum
+from .errors import CarryAmbiguity, PrecisionExhausted
 
 
 @dataclass(frozen=True)
@@ -69,14 +68,13 @@ def evaluate(formula: BBPFormula, digit_count: int, guard: int = DEFAULT_GUARD) 
     base = formula.base
     scaled = _linear_sum(_parts(formula, 0, base ** formula.shift), base)
     digits = _certify(scaled, base, digit_count, guard,
-                      f"{digit_count} digits of {formula.description or formula}")
+                      f"{digit_count} digits of {formula.description or formula}")[0]
     return DigitBlock(base, 1, digits)
 
 
 # ---------------------------------------------------------------------------
 # arbitrary-position extraction
 
-_GUARD_BITS = (64, 128, 256)
 _CHUNK = 1 << 12  # head indices per numpy pass
 _LIMB = 32        # bits per long-division step
 
@@ -140,6 +138,13 @@ def _head_sum(formula: BBPFormula, top: int, width: int, start: int, stop: int) 
 #   the tail.
 # acc is thus within head * len(terms) + _SERIES_ERR units of the scaled
 # fraction (modulo 2**width), whatever the width.
+#
+# digit_extract_info certifies X = floor(acc * base**prec / 2**width) at
+# width = prec * b, b bits per digit: base**prec <= 2**width, so X is within
+# err + 1 units of frac * base**prec (for power-of-two bases X is acc itself,
+# for any other base the floor adds under one unit). X is known only modulo
+# base**prec, which is enough: _certify reads only X mod base**g and
+# (X // base**g) mod base**count, and prec = count + g.
 
 def _scaled_fraction(formula: BBPFormula, position: int, width: int):
     """acc, err: frac(base**(position-1) * value) * 2**width, modulo 2**width."""
@@ -150,29 +155,11 @@ def _scaled_fraction(formula: BBPFormula, position: int, width: int):
     return acc, head * len(formula.terms) + err
 
 
-def _extract_attempt(formula: BBPFormula, position: int, count: int, guard_bits: int):
-    """The window's digits from _scaled_fraction, or None when a carry
-    could still reach them."""
-    base = formula.base
-    bits_per_digit = max(1, (base - 1).bit_length())
-    width = count * bits_per_digit + guard_bits
-    mod = 1 << width
-    acc, err = _scaled_fraction(formula, position, width)
-    value = acc * mpz(base) ** count
-    digits_scaled, rem = divmod(value, mod)
-    # carry ambiguity: the window is trusted only when the residue keeps a
-    # 2**8-fold safety factor away from both carry boundaries
-    margin = err * (mpz(base) ** count) * 256
-    if not margin <= rem < mod - margin:
-        return None
-    return int_to_digit_bytes(digits_scaled % mpz(base) ** count, base, count)
-
-
 def digit_extract(formula: BBPFormula, position: int, count: int) -> DigitBlock:
     """Digits at `position`..`position+count-1` without earlier digits.
 
     count is capped at 8 per call; extract_digits takes any width.
-    Retries at 128 and 256 guard bits before raising CarryAmbiguity.
+    Retries at 128, 256 and 512 guard bits before raising CarryAmbiguity.
     """
     if not 1 <= count <= 8:
         raise ValueError("count must be in 1..8")
@@ -189,13 +176,20 @@ def digit_extract_info(formula: BBPFormula, position: int, count: int):
         raise ValueError("count must be >= 1")
     if position - 1 - formula.shift >= 2**63:
         raise ValueError(f"position must be at most 2**63 + shift = {2**63 + formula.shift}")
-    for guard_bits in _GUARD_BITS:
-        digits = _extract_attempt(formula, position, count, guard_bits)
-        if digits is not None:
-            return DigitBlock(formula.base, position, digits), guard_bits
-    raise CarryAmbiguity(
-        f"carry not resolved at position {position} after "
-        f"{_GUARD_BITS[-1]} guard bits")
+    base = formula.base
+    bits = max(1, (base - 1).bit_length())
+    guard = -(-64 // bits)  # in digits; _certify doubles it on each of three retries
+
+    def scaled(prec: int):
+        acc, err = _scaled_fraction(formula, position, prec * bits)
+        return acc * base ** prec >> prec * bits, err + 1
+
+    try:
+        digits, g = _certify(scaled, base, count, guard, f"{count} digits at {position}")
+    except PrecisionExhausted:
+        raise CarryAmbiguity(f"carry not resolved at position {position} after "
+                             f"{8 * guard * bits} guard bits") from None
+    return DigitBlock(base, position, digits), g * bits
 
 
 def extract_digits(formula: BBPFormula, position: int, count: int) -> DigitBlock:

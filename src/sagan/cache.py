@@ -34,8 +34,9 @@ def encode(base: int, identifier: str, digits) -> bytes:
     body += ident
     body += struct.pack("<Q", len(digits))
     payload = bytes(digits)
-    if payload and max(payload) >= base:
-        raise CacheError(f"digit {max(payload)} >= base {base}")
+    bad = payload.translate(None, bytes(range(base)))
+    if bad:
+        raise CacheError(f"digit {max(bad)} >= base {base}")
     body += payload
     body += struct.pack("<I", zlib.crc32(bytes(body)))
     return bytes(body)
@@ -67,8 +68,9 @@ def decode(blob: bytes) -> tuple[int, str, list[int]]:
     except UnicodeDecodeError as exc:
         raise CacheError(f"identifier is not UTF-8: {exc}") from exc
     payload = blob[pos:pos + count]
-    if payload and max(payload) >= base:
-        raise CacheError(f"digit {max(payload)} >= base {base}")
+    bad = payload.translate(None, bytes(range(base)))
+    if bad:
+        raise CacheError(f"digit {max(bad)} >= base {base}")
     return base, identifier, list(payload)
 
 

@@ -45,7 +45,7 @@ _GLYPHS = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwx
 def digit_glyphs(digits) -> str:
     """0-9, then a-z for 10..35, bracketed decimal beyond."""
     data = bytes(digits)
-    if not data or max(data) < 36:
+    if not data.translate(None, bytes(range(36))):
         return data.translate(_GLYPHS).decode("ascii")
     return "".join(chr(_GLYPHS[d]) if d < 36 else f"[{d}]" for d in data)
 

@@ -153,8 +153,9 @@ class DigitBlock:
         if start_position < 1:
             raise ValueError("start_position is 1-indexed and must be >= 1")
         data = _digit_bytes(digits, base)
-        if data and max(data) >= base:
-            raise InvalidDigit(f"digit {max(data)} out of range for base {base}")
+        bad = data.translate(None, bytes(range(base)))
+        if bad:
+            raise InvalidDigit(f"digit {max(bad)} out of range for base {base}")
         self.base = base
         self.start_position = start_position
         self.data = data
@@ -475,14 +476,16 @@ def _log2_source(base: int):
 _SOURCES = {PI: _pi_source, SQRT2: _sqrt2_source, E: _e_source, LOG2: _log2_source}
 
 
-def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0) -> bytes:
+def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0):
     """Digits done+1..count of X // base**g, X, err = scaled(count + g), once
     X mod base**g is more than err from both ends of the band, so that no
-    value within err of X carries into them; g doubles, four tries.
+    value within err of X carries into them, and the g that certified them;
+    g doubles, four tries.
 
     A band of base**g <= 2 * (err + 1) leaves no remainder that certifies, so
     g starts at the smallest g >= guard whose band is wider than that for
-    _SERIES_ERR, the largest err any source returns."""
+    _SERIES_ERR, the largest err of a series source; BBP windows start at
+    64 bits of guard, far above it."""
     g = guard
     while base ** g <= 2 * (_SERIES_ERR + 1):
         g += 1
@@ -493,7 +496,7 @@ def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0
         margin = err + 1
         if margin <= rem < band - margin:
             return int_to_digit_bytes(_arith.divmod(x // band, _powers(base)(count - done))[1],
-                                      base, count - done)
+                                      base, count - done), g
         g *= 2
     raise PrecisionExhausted(f"could not certify {what}")
 
@@ -751,7 +754,7 @@ def _computed(constant: ConstantSpec, base: int, guard: int):
         return lambda count, done: cfrac_digits(fibonacci_numbers(), base, count).data[done:]
     scaled = _SOURCES.get(constant.kind, lambda b: _concat_scaled(constant, b))(base)
     what = f"base-{base} digits of {constant.identifier()}"
-    return lambda count, done: _certify(scaled, base, count, guard, f"{count} {what}", done)
+    return lambda count, done: _certify(scaled, base, count, guard, f"{count} {what}", done)[0]
 
 
 def digits_in_base(constant: ConstantSpec, base: int, count: int,

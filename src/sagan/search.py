@@ -18,7 +18,7 @@ from itertools import accumulate, chain, groupby, repeat
 from math import prod
 from operator import itemgetter
 
-from .digits import ConstantSpec, DigitBlock, DigitStream, open_stream
+from .digits import DigitBlock, DigitStream
 from .errors import BaseMismatch, BaseTooSmall, DigitOutOfRange, LimitTooSmall
 from .raster import GeneralizedPattern, RasterPattern
 
@@ -174,17 +174,6 @@ def find_digit(stream: DigitStream, digit: int, limit: int,
         raise DigitOutOfRange(f"digit {digit} not valid in base {stream.base}")
     matcher = CompiledMatcher(stream.base, [frozenset((digit,))])
     return find_first(stream, matcher, limit, context_width)
-
-
-def find_first_chunked(constant: ConstantSpec, base: int, matcher: CompiledMatcher,
-                       limit: int, chunk_size: int, block_size: int = 1024,
-                       context_width: int = 12) -> SearchResult:
-    """find_first over one stream opened on `constant`: the minimum anchor
-    over any split into ranges of `chunk_size` (>= 1) anchors."""
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    return find_first(open_stream(constant, base, block_size), matcher, limit,
-                      context_width)
 
 
 # ---------------------------------------------------------------------------

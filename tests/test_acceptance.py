@@ -38,7 +38,6 @@ from sagan.search import (
     expected_position,
     find_digit,
     find_first,
-    find_first_chunked,
 )
 from sagan.raster import GeneralizedPattern, rasterize_center
 
@@ -187,6 +186,20 @@ def _naive_scan(digits, matcher, limit):
     return None
 
 
+def _partitioned_first(spec, base, matcher, limit, size):
+    """find_first over ranges of `size` anchors, each on its own stream
+    skipped to the range start and reading its anchors' windows (ranges
+    overlap by len - 1 digits), up to the first range with a hit."""
+    anchors = limit - matcher.length + 1
+    for start in range(0, anchors, size):
+        stream = open_stream(spec, base, 512)
+        stream.skip(start)
+        result = find_first(stream, matcher, min(size, anchors - start) + matcher.length - 1)
+        if result.found:
+            break
+    return result
+
+
 def test_criterion_10_search_oracles():
     t = time.perf_counter()
     rng = random.Random(1965)
@@ -208,9 +221,10 @@ def test_criterion_10_search_oracles():
         spec = ConstantSpec.rational(rng.randint(1, q - 1), q)
         matcher = _random_matcher(rng, base)
         limit = max(matcher.length, rng.randint(100, 2 * 10 ** 4))
+        anchors = limit - matcher.length + 1
+        size = -(-anchors // rng.randint(1, 20))  # at most 20 ranges
         seq = find_first(open_stream(spec, base, 512), matcher, limit)
-        par = find_first_chunked(spec, base, matcher, limit,
-                                 rng.randint(max(1, matcher.length), 4000))
+        par = _partitioned_first(spec, base, matcher, limit, size)
         if (par.position, par.found) != (seq.position, seq.found):
             bad += 1
     ok = bad == 0 and time.perf_counter() - t < 60.0

@@ -10,7 +10,6 @@ import pytest
 from sagan import bbp, digits
 from sagan.bbp import (
     BBPFormula,
-    _extract_attempt,
     _head_sum,
     _scaled_fraction,
     digit_extract,
@@ -20,7 +19,8 @@ from sagan.bbp import (
     log2_formula,
     pi_formula,
 )
-from sagan.digits import _SERIES_ERR, ConstantSpec, _linear_sum, digits_in_base
+from sagan.digits import ConstantSpec, _linear_sum, digits_in_base
+from sagan.errors import CarryAmbiguity
 
 PI = ConstantSpec.pi()
 LOG2 = ConstantSpec.log2()
@@ -250,14 +250,14 @@ class TestWideWindows:
 
     @pytest.mark.parametrize("formula", [pi_formula(), log2_formula()], ids=["pi", "log2"])
     def test_carry_rejections_match_scalar_head(self, formula, monkeypatch):
-        # 20 guard bits leave the margin test err * 256 / 2**20 large enough
-        # that many of these positions are rejected (None)
-        positions = range(1, 400)
-        fast = [_extract_attempt(formula, p, 4, 20) for p in positions]
+        # the numpy head and the scalar head give one (acc, err) at the widths
+        # of a 4-digit window's first two tries, so the certifier sees the
+        # same X and accepts or rejects the same windows
+        bits = (formula.base - 1).bit_length()
+        cases = [(p, (4 + guard // bits) * bits) for p in range(1, 400) for guard in (64, 128)]
+        fast = [_scaled_fraction(formula, p, width) for p, width in cases]
         monkeypatch.setattr(bbp, "_head_sum", scalar_head_sum)
-        scalar = [_extract_attempt(formula, p, 4, 20) for p in positions]
-        assert fast == scalar
-        assert None in fast and any(w is not None for w in fast)
+        assert fast == [_scaled_fraction(formula, p, width) for p, width in cases]
 
     @pytest.mark.parametrize("formula, spec, positions", [
         (pi_formula(), PI, (1, 17)),
@@ -276,7 +276,7 @@ class TestWideWindows:
                             lambda *args: calls.append(args) or quotient(*args))
         for count in (1, 8, 100, 3000):
             calls.clear()
-            _extract_attempt(formula, 17, count, 64)
+            assert digit_extract_info(formula, 17, count)[1] == 64  # one try
             assert len(calls) == len(formula.terms), count
 
 
@@ -315,20 +315,27 @@ class TestCarryMargin:
     @pytest.mark.parametrize("formula", [pi_formula(), log2_formula()], ids=["pi", "log2"])
     @pytest.mark.parametrize("position, count", [(1, 1), (2, 8), (300, 3)])
     def test_residue_at_the_margin_edges(self, formula, position, count, monkeypatch):
-        # the residue rem = acc * base**count mod 2**width is a multiple of
-        # step = base**count (both bases are powers of two), so the residue
-        # one step below an edge is step below it; _head_sum is replaced by a
-        # value that puts acc = rem // step, which sets digits_scaled to 0
-        base, guard = formula.base, 64
-        width = count * (base - 1).bit_length() + guard
-        mod, step = 1 << width, base ** count
-        head = max(0, position - formula.shift)
-        margin = (head * len(formula.terms) + _SERIES_ERR) * step * 256
+        # the first try reads X = acc at width count * bits + 64 (both bases
+        # are powers of two) with err + 1 for the floor, and certifies when
+        # err + 2 <= X mod 2**64 < 2**64 - err - 2, err being
+        # _scaled_fraction's. At that width _head_sum is replaced by a value
+        # that puts acc = rem, which sets the window's digits to 0; a refused
+        # first try certifies the true digits at 128 guard bits.
+        truth = digit_extract_info(formula, position, count)[0].data
+        width, band = count * (formula.base - 1).bit_length() + 64, 1 << 64
+        head_sum = bbp._head_sum
         monkeypatch.setattr(bbp, "_head_sum", lambda *args: 0)
-        tail = _scaled_fraction(formula, position, width)[0]
-        for rem, accepted in [(margin, True), (margin - step, False),
-                              (mod - margin - step, True), (mod - margin, False)]:
-            monkeypatch.setattr(bbp, "_head_sum", lambda *args, acc=rem // step: acc - tail)
-            got = _extract_attempt(formula, position, count, guard)
-            assert (got is not None) == accepted, (rem, margin)
-            assert got in (None, bytes(count))
+        tail, err = _scaled_fraction(formula, position, width)
+        for rem, accepted in [(err + 2, True), (err + 1, False),
+                              (band - err - 3, True), (band - err - 2, False)]:
+            monkeypatch.setattr(bbp, "_head_sum", lambda f, top, w, *rest, acc=rem - tail:
+                                acc if w == width else head_sum(f, top, w, *rest))
+            block, guard = digit_extract_info(formula, position, count)
+            assert (block.data, guard) == ((bytes(count), 64) if accepted else (truth, 128)), rem
+
+    @pytest.mark.parametrize("formula", [pi_formula(), log2_formula()], ids=["pi", "log2"])
+    def test_unresolved_carry_raises_carry_ambiguity(self, formula, monkeypatch):
+        # acc = 0 sits on a band edge at every width, so all four tries fail
+        monkeypatch.setattr(bbp, "_scaled_fraction", lambda *args: (0, 2))
+        with pytest.raises(CarryAmbiguity, match="after 512 guard bits"):
+            digit_extract_info(formula, 5, 1)

@@ -89,6 +89,16 @@ class TestEncodeDecode:
         with pytest.raises(CacheError):
             encode(10, "pi", b"\x01\x0a")
 
+    def test_messages_name_the_largest_rejected_digit(self):
+        with pytest.raises(CacheError, match="^digit 12 >= base 10$"):
+            encode(10, "pi", bytes([1, 12, 9, 11]))
+        # a CRC-valid file of base-16 digits relabelled as base 10
+        blob = bytearray(encode(16, "pi", bytes([1, 12, 9, 11])))
+        struct.pack_into("<H", blob, 5, 10)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        with pytest.raises(CacheError, match="^digit 12 >= base 10$"):
+            decode(bytes(blob))
+
     def test_reject_truncation(self):
         blob = sample_blob()
         with pytest.raises(CacheError):

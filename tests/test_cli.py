@@ -279,6 +279,9 @@ class TestEstimateCommand:
 class TestGlyphs:
     def test_alphabet(self):
         assert digit_glyphs([0, 9, 10, 35, 36, 255]) == "09az[36][255]"
+        assert digit_glyphs(b"") == ""
+        assert digit_glyphs(bytes(range(36))) == "0123456789abcdefghijklmnopqrstuvwxyz"
+        assert digit_glyphs(bytes([36])) == "[36]"
 
 
 class TestUsageErrors:
@@ -337,6 +340,16 @@ class TestErrorExitCodes:
         monkeypatch.setattr(cli.bbp_mod, "digit_extract_info", explode)
         code, _, err = run(capsys, "bbp", "--position", "7", "--count", "4")
         assert code == EXIT_AMBIGUITY and "carry" in err
+
+    def test_unresolved_carry_exits_five_end_to_end(self, capsys, monkeypatch):
+        # acc = 0 lies on a band edge at every guard, so the certifier's
+        # PrecisionExhausted must come out of digit_extract_info as CarryAmbiguity
+        from sagan import bbp
+
+        monkeypatch.setattr(bbp, "_scaled_fraction", lambda *args: (0, 2))
+        code, out, err = run(capsys, "bbp", "--position", "5")
+        assert code == EXIT_AMBIGUITY and out == ""
+        assert err.startswith("carry ambiguity:") and "512 guard bits" in err
 
 
 class TestConsoleScript:

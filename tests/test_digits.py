@@ -113,6 +113,12 @@ class TestDigitBlock:
                     DigitBlock(base, 1, bytes([0, base]))
             assert DigitBlock(base, 1, bytes([0, base - 1])).digits == (0, base - 1)
 
+    def test_message_names_the_largest_rejected_digit(self):
+        with pytest.raises(InvalidDigit, match="^digit 12 out of range for base 10$"):
+            DigitBlock(10, 1, bytes([3, 12, 9, 11, 0]))
+        with pytest.raises(InvalidDigit, match="^digit 255 out of range for base 2$"):
+            DigitBlock(2, 1, bytes([1, 255, 2, 0]))
+
     def test_bytes_payload_and_int_coercion(self):
         block = DigitBlock(16, 1, (1, 15, "7", 2.0))
         assert block.data == b"\x01\x0f\x07\x02"
@@ -925,11 +931,13 @@ class TestCertifier:
 
     def test_lower_end_of_band(self):
         assert self.certify(lambda band: 2) == (None, [2, 4, 8, 16])
-        assert self.certify(lambda band: 3) == (bytes([1, 2, 3]), [2])
+        assert self.certify(lambda band: 3) == ((bytes([1, 2, 3]), 2), [2])
+        # refused at g = 2, certified (and reported) at g = 4
+        assert self.certify(lambda band: 2 + (band > 100)) == ((bytes([1, 2, 3]), 4), [2, 4])
 
     def test_upper_end_of_band(self):
         assert self.certify(lambda band: band - 1 - 2) == (None, [2, 4, 8, 16])
-        assert self.certify(lambda band: band - 1 - 3) == (bytes([1, 2, 3]), [2])
+        assert self.certify(lambda band: band - 1 - 3) == ((bytes([1, 2, 3]), 2), [2])
 
     @pytest.mark.parametrize("guard, first", [(0, 3), (1, 3), (3, 3), (4, 4)])
     def test_guard_starts_where_a_band_can_certify(self, guard, first):
@@ -941,7 +949,7 @@ class TestCertifier:
             calls.append(g)
             return 5 * 2 ** g + 2 ** (g - 1), 2
 
-        assert _certify(scaled, 2, 3, guard, "test digits") == bytes([1, 0, 1])
+        assert _certify(scaled, 2, 3, guard, "test digits") == (bytes([1, 0, 1]), first)
         assert calls == [first]
 
     @pytest.mark.parametrize("spec", (PI, ConstantSpec.e(), ConstantSpec.sqrt2()),
@@ -957,8 +965,8 @@ class TestCertifier:
 
     def test_done_digits_are_not_returned(self):
         scaled = lambda prec: (123 * 10 ** (prec - 3) + 5 * 10 ** (prec - 5), 2)
-        assert _certify(scaled, 10, 3, 2, "test digits", done=1) == bytes([2, 3])
-        assert _certify(scaled, 10, 3, 2, "test digits", done=3) == b""
+        assert _certify(scaled, 10, 3, 2, "test digits", done=1) == (bytes([2, 3]), 2)
+        assert _certify(scaled, 10, 3, 2, "test digits", done=3) == (b"", 2)
 
 
 class TestIntDigitHelpers:

@@ -24,7 +24,6 @@ from sagan.search import (
     expected_position,
     find_digit,
     find_first,
-    find_first_chunked,
     result_record,
 )
 
@@ -161,8 +160,8 @@ class TestFindFirst:
         assert result.position == 1 and len(result.context_after) == 12
         assert max(refill_targets) <= 112
         refill_targets.clear()
-        chunked = find_first_chunked(PI, 10, matcher, 100, 10, block_size=10 ** 6)
-        assert chunked == result
+        again = find_first(open_stream(PI, 10, 10 ** 6), matcher, 100)
+        assert again == result
         assert max(refill_targets) <= 112
 
     def test_random_block_sizes_stay_within_the_bound(self, refill_targets):
@@ -351,9 +350,8 @@ class TestScanOracle:
                                                  frozenset(SPECIAL) | big), 256)
             limit = rng.randint(matcher.length, 3000)
             digits = digits_in_base(spec, 256, limit + 12).digits
-            chunked = find_first_chunked(spec, 256, matcher, limit, rng.randint(1, 50),
-                                         block_size=rng.randint(1, 9))
-            self.check(digits, matcher, limit, chunked)
+            got = find_first(open_stream(spec, 256, rng.randint(1, 9)), matcher, limit)
+            self.check(digits, matcher, limit, got)
 
 
 class TestLargeMatcher:
@@ -391,6 +389,21 @@ class TestLargeMatcher:
         assert int(runs) <= 5 * 4096
 
 
+def partitioned_first(spec, base, matcher, limit, size):
+    """The first hit among the anchors of the first `limit` digits, searched
+    range by range: each range of `size` anchors has its own stream, skipped
+    to the range start, and reads its anchors' windows, so neighbouring
+    ranges overlap by len - 1 digits. Stops at the first range with a hit."""
+    anchors = limit - matcher.length + 1
+    for start in range(0, anchors, size):
+        stream = open_stream(spec, base, 512)
+        stream.skip(start)
+        result = find_first(stream, matcher, min(size, anchors - start) + matcher.length - 1)
+        if result.found:
+            break
+    return result
+
+
 class TestChunkedEquivalence:
     def test_chunked_equals_sequential(self):
         rng = random.Random(2026)
@@ -401,22 +414,27 @@ class TestChunkedEquivalence:
             spec = ConstantSpec.rational(p, q)
             matcher = random_matcher(rng, base)
             limit = max(matcher.length, rng.randint(100, 2 * 10 ** 4))
-            chunk = rng.randint(max(1, matcher.length), 5000)
+            anchors = limit - matcher.length + 1
+            size = -(-anchors // rng.randint(1, 20))  # at most 20 ranges
             sequential = find_first(open_stream(spec, base, 512), matcher, limit)
-            chunked = find_first_chunked(spec, base, matcher, limit, chunk)
+            chunked = partitioned_first(spec, base, matcher, limit, size)
             assert chunked.position == sequential.position
             assert chunked.found == sequential.found
-            assert chunked.digits_examined == sequential.digits_examined
             if sequential.found:
                 assert chunked.window == sequential.window
-                assert chunked.context_before == sequential.context_before
                 assert chunked.context_after == sequential.context_after
+                # ranges of `position` anchors: the hit is the last anchor of
+                # the first range, and its window ends in the second
+                edge = partitioned_first(spec, base, matcher, limit, sequential.position)
+                assert edge.position == sequential.position
 
     def test_chunked_on_pi(self):
+        # the hit is the last anchor of the fourth range, whose window ends
+        # in the overlap with the fifth
         matcher = compile(rasterize_center(2), 10)
         sequential = find_first(open_stream(PI, 10, 4096), matcher, 20000)
-        chunked = find_first_chunked(PI, 10, matcher, 20000, 3000)
-        assert chunked.position == sequential.position == 12700
+        chunked = partitioned_first(PI, 10, matcher, 20000, 3175)
+        assert chunked.position == sequential.position == 12700 == 4 * 3175
 
 
 class TestExpectedPosition:
