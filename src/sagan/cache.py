@@ -26,23 +26,18 @@ def encode(base: int, identifier: str, digits) -> bytes:
         raise CacheError(f"identifier too long for cache header: {identifier!r}")
     if not 2 <= base <= 256:
         raise CacheError(f"base {base} not cacheable")
-    body = bytearray()
-    body += MAGIC
-    body.append(VERSION)
-    body += struct.pack("<H", base)
-    body.append(len(ident))
-    body += ident
-    body += struct.pack("<Q", len(digits))
     payload = bytes(digits)
     bad = payload.translate(None, bytes(range(base)))
     if bad:
         raise CacheError(f"digit {max(bad)} >= base {base}")
-    body += payload
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
-    return bytes(body)
+    header = b"".join((MAGIC, struct.pack("<BHB", VERSION, base, len(ident)), ident,
+                       struct.pack("<Q", len(payload))))
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    return b"".join((header, payload, struct.pack("<I", crc)))
 
 
-def decode(blob: bytes) -> tuple[int, str, list[int]]:
+def _payload(blob: bytes) -> tuple[int, str, bytes]:
+    """decode(), with the digits as the validated payload bytes."""
     if len(blob) < 20:
         raise CacheError("cache file truncated")
     if blob[:4] != MAGIC:
@@ -71,6 +66,11 @@ def decode(blob: bytes) -> tuple[int, str, list[int]]:
     bad = payload.translate(None, bytes(range(base)))
     if bad:
         raise CacheError(f"digit {max(bad)} >= base {base}")
+    return base, identifier, payload
+
+
+def decode(blob: bytes) -> tuple[int, str, list[int]]:
+    base, identifier, payload = _payload(blob)
     return base, identifier, list(payload)
 
 
@@ -97,9 +97,12 @@ def write_cache(path: str | os.PathLike, base: int, identifier: str, digits) -> 
         raise CacheError(f"cannot write cache file {path}: {exc}") from exc
 
 
-def read_cache(path: str | os.PathLike) -> tuple[int, str, list[int]]:
+def _read(path: str | os.PathLike) -> bytes:
     try:
-        blob = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    return decode(blob)
+
+
+def read_cache(path: str | os.PathLike) -> tuple[int, str, list[int]]:
+    return decode(_read(path))

@@ -153,7 +153,7 @@ def cmd_digits(args) -> int:
         cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
         path = cache_mod.cache_path(cache_dir, ident, args.base)
         if path.exists():
-            base_f, ident_f, cached = cache_mod.read_cache(path)
+            base_f, ident_f, cached = cache_mod._payload(cache_mod._read(path))
             if base_f != args.base or ident_f != ident:
                 raise CacheError(f"cache file {path} holds {ident_f} base {base_f}")
             if len(cached) >= args.count:

@@ -8,6 +8,7 @@ reach them. Emitted digits are truncations of the true value, never rounded.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -546,7 +547,9 @@ def _champernowne_chunks(base: int) -> Iterator[bytes]:
         stop = min(n + _CHUNK, top)
         values = np.arange(n, stop, dtype=np.int64)[:, None]
         powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        yield (values // powers % base).astype(np.uint8).tobytes()
+        table = values // powers
+        table %= base  # in place: one table-sized temporary, not two
+        yield table.astype(np.uint8).tobytes()
         n = stop
         if n == top:
             width, top = width + 1, top * base
@@ -573,10 +576,11 @@ def _concat_chunks(spec: ConstantSpec) -> Iterator[bytes]:
         raise UnsupportedConstant(f"{spec.kind} is not a concatenation constant")
 
 
-def _rational_chunks(p: int, q: int, base: int) -> Iterator[bytes]:
-    """Long-division digits of frac(|p/q|), _CHUNK at a time; the remainder
-    carries over from one chunk to the next."""
-    r = abs(p) % q
+def _rational_chunks(p: int, q: int, base: int, skip: int = 0) -> Iterator[bytes]:
+    """Long-division digits of frac(|p/q|) past the first `skip`, _CHUNK at
+    a time; the remainder carries over from one chunk to the next. The
+    remainder after digit j is |p| * base**j mod q, so one pow skips."""
+    r = abs(p) * pow(base, skip, q) % q
     while True:
         chunk = bytearray()
         for _ in range(_CHUNK):
@@ -597,11 +601,12 @@ def _exact_chunks(spec: ConstantSpec, base: int) -> Iterator[bytes] | None:
 
 
 def _take(chunks: Iterator[bytes], count: int) -> bytes:
-    """The first `count` digits of a chunk iterator."""
-    data = bytearray()
-    while len(data) < count:
-        data += next(chunks)
-    return bytes(data[:count])
+    """The first `count` digits of a chunk iterator. Each digit is copied
+    once, into a buffer that BytesIO.getvalue() returns without copying."""
+    out = io.BytesIO()
+    while out.tell() < count:
+        out.write(next(chunks)[:count - out.tell()])
+    return out.getvalue()
 
 
 def concat_constant_digits(spec: ConstantSpec, count: int) -> DigitBlock:
@@ -784,7 +789,9 @@ class DigitStream:
     digit prefixes. Exact sources are generated chunk by chunk; any other
     constant keeps one source, which each refill extends geometrically, up to
     what reserve() says will be read, converting only the new digits. Digits
-    behind the cursor are dropped once they fill half the buffer.
+    behind the cursor are dropped once they fill half the buffer, and a chunk
+    that ends before the cursor is never buffered. After a skip past every
+    generated digit, a rational restarts its long division at the cursor.
     """
 
     def __init__(self, source: ConstantSpec, base: int, block_size: int):
@@ -820,8 +827,18 @@ class DigitStream:
             raise ValueError("count must be >= 0")
         start, stop = self.cursor, self.cursor + count
         self._need = stop - 1
-        while self._first + len(self._buf) < stop:
+        end = self._first + len(self._buf)  # the first position not generated
+        if start > end and self.source.kind == RATIONAL:
+            # a jump: restart the long division at the cursor
+            self._chunks = _rational_chunks(self.source.p, self.source.q, self.base, start - 1)
+            self._buf.clear()
+            self._first = end = start
+        while end < stop:
             self._buf += next(self._chunks)
+            end = self._first + len(self._buf)
+            if end <= start:  # everything generated lies before the cursor
+                self._buf.clear()
+                self._first = end
         if start - self._first > len(self._buf) // 2:
             del self._buf[:start - self._first]
             self._first = start

@@ -19,6 +19,10 @@ from .digits import ConstantSpec, DigitBlock, digits_in_base
 from .errors import BlockTooShort, KTooLarge, MismatchedTotals, TooFewSamples
 
 TABLE_BUDGET_BITS = 24
+# k-gram windows indexed at a time, 8 bytes each: from 2**14 to 2**16 the
+# counts of 10**6 and 10**7 digits run equally fast (2**12 is 45% slower),
+# and the index memory doubles with each step
+_CHUNK_WINDOWS = 1 << 15
 UNDERFLOW_FLOOR = 1e-308
 
 
@@ -54,19 +58,34 @@ def kgram_counts(digits: DigitBlock, k: int) -> KGramCounts:
     n = len(digits)
     if n < k:
         raise BlockTooShort(f"need at least {k} digits, got {n}")
-    # each window d_0..d_{k-1} as the cell index sum d_i * base**(k-1-i)
     seq = np.frombuffer(digits.data, dtype=np.uint8)
     samples = n - k + 1
-    index = seq[:samples].astype(np.intp)
-    for i in range(1, k):
-        index *= base
-        index += seq[i:i + samples]
-    if base ** k <= samples:  # a table no larger than the index array
-        tally = np.bincount(index)
+    size = base ** k
+    dense = size <= samples  # a table no larger than one index per window
+    # a chunk at least as long as the table, so that adding a chunk's tally
+    # costs no more than building it
+    step = max(_CHUNK_WINDOWS, size) if dense else _CHUNK_WINDOWS
+    tally = np.zeros(size, dtype=np.int64) if dense else None
+    found = []
+    for lo in range(0, samples, step):
+        hi = min(lo + step, samples)
+        # windows lo..hi-1 as cell indices sum d_i * base**(k-1-i); the
+        # last of them reads k-1 digits past the chunk
+        index = seq[lo:hi].astype(np.intp)
+        for i in range(1, k):
+            index *= base
+            index += seq[lo + i:hi + i]
+        if dense:
+            tally += np.bincount(index, minlength=size)
+        else:
+            found.append(np.unique(index, return_counts=True))
+    if dense:
         cells = np.flatnonzero(tally)
         hits = tally[cells]
-    else:
-        cells, hits = np.unique(index, return_counts=True)
+    else:  # merge the chunks' sorted (cell, count) runs
+        cells, where = np.unique(np.concatenate([c for c, _ in found]), return_inverse=True)
+        hits = np.zeros(len(cells), dtype=np.int64)
+        np.add.at(hits, where, np.concatenate([h for _, h in found]))
     columns = [cells // base ** (k - 1 - i) % base for i in range(k)]
     grams = map(tuple, np.stack(columns, axis=1).tolist())
     return KGramCounts(base, k, n, dict(zip(grams, hits.tolist())))

@@ -7,6 +7,7 @@ import zlib
 
 import pytest
 
+from sagan import cache as cache_mod
 from sagan.cache import cache_path, read_cache
 from sagan.cli import EXIT_AMBIGUITY, EXIT_CACHE, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, digit_glyphs, main
 from sagan.digits import ConstantSpec, digits_in_base
@@ -53,6 +54,20 @@ class TestCacheFlow:
         code, out, _ = run(capsys, "digits", "--constant", "pi", "--base", "10",
                            "--count", "6", "--cache", "--cache-dir", str(tmp_path))
         assert code == EXIT_OK and out.strip() == "141592"
+
+    def test_cache_hit_takes_the_payload_bytes(self, capsys, tmp_path, monkeypatch):
+        argv = ("digits", "--constant", "pi", "--base", "11", "--cache", "--cache-dir", str(tmp_path))
+        code, miss, _ = run(capsys, *argv, "--count", "3000")
+        assert code == EXIT_OK
+
+        def as_list(*args):
+            raise AssertionError("the cache hit built a list of the cached digits")
+
+        monkeypatch.setattr(cache_mod, "decode", as_list)
+        monkeypatch.setattr(cache_mod, "read_cache", as_list)
+        for count in (3000, 2500):
+            code, hit, _ = run(capsys, *argv, "--count", str(count))
+            assert code == EXIT_OK and hit == miss[:count] + "\n"
 
     def test_cache_extension_rewrites(self, capsys, tmp_path):
         run(capsys, "digits", "--constant", "sqrt2", "--count", "5",

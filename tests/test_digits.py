@@ -4,6 +4,7 @@ printed expansions."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -446,6 +447,46 @@ class TestStreams:
                 block = stream.next_block() if step == "next" else stream.take(rng.randint(0, 500))
                 assert block.start_position == start
                 assert block.digits == whole[start - 1:start - 1 + len(block)]
+
+    @pytest.mark.parametrize("skip", (0, 1, 4095, 4096, 4097, 10 ** 6))
+    def test_skip_reads_what_an_unskipped_stream_reads(self, skip):
+        # a rational restarts its long division at the cursor, and a chunk
+        # that ends before the cursor is dropped; either with or without
+        # digits already buffered behind the cursor
+        sources = [(ConstantSpec.rational(12345, 99991), 10), (ConstantSpec.rational(-22, 7), 256),
+                   (ConstantSpec.champernowne(10), 10), (ConstantSpec.champernowne(3), 3)]
+        if skip < 10 ** 6:
+            sources += [(PI, 10), (ConstantSpec.copeland_erdos(), 10)]
+        for spec, base in sources:
+            for head in (0, 5):
+                plain = open_stream(spec, base, 4096)
+                plain.take(head + skip)
+                jumped = open_stream(spec, base, 4096)
+                jumped.take(head)
+                jumped.skip(skip)
+                assert jumped.take(20) == plain.take(20), (spec, base, head)
+
+    def test_rational_skip_costs_one_pow(self):
+        # 1/7 and 5/13 repeat with period 6, and 1/3 in base 2 with period 2
+        for p, q, base, period in ((1, 7, 10, b"\1\4\2\10\5\7"), (5, 13, 10, b"\3\10\4\6\1\5"),
+                                   (1, 3, 2, b"\0\1")):
+            stream = open_stream(ConstantSpec.rational(p, q), base, 64)
+            stream.skip(10 ** 18)
+            offset = 10 ** 18 % len(period)
+            assert stream.take(12).data == (period * 12)[offset:offset + 12]
+
+    def test_skipped_chunks_are_not_buffered(self):
+        stream = open_stream(ConstantSpec.champernowne(10), 10, 4096)
+        stream.skip(4 * 10 ** 6)
+        tracemalloc.start()
+        try:
+            block = stream.take(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        numbers = "".join(map(str, range(1, 685190)))  # 685185 holds digit 4 * 10**6 + 1
+        assert block.data == bytes(map(int, numbers[4 * 10 ** 6:4 * 10 ** 6 + 20]))
+        assert peak < 10 ** 6
 
     def test_negative_counts_raise(self):
         # a backwards skip or take would move the cursor behind digits the

@@ -2,11 +2,13 @@
 independent series / continued-fraction incomplete-gamma evaluation done
 in high-precision mpmath arithmetic."""
 
+import hashlib
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +17,9 @@ import mpmath
 import pytest
 
 import sagan
-from sagan.digits import ConstantSpec, DigitBlock, decimal_digits
+from sagan import normality
+from sagan.cli import EXIT_USAGE, main
+from sagan.digits import ConstantSpec, DigitBlock, decimal_digits, digits_in_base
 from sagan.errors import BlockTooShort, KTooLarge, MismatchedTotals, TooFewSamples
 from sagan.normality import (
     UNDERFLOW_FLOOR,
@@ -129,6 +133,44 @@ class TestKGramCounts:
             kgram_counts(DigitBlock(256, 1, [0] * 100), 4)
         with pytest.raises(BlockTooShort):
             kgram_counts(DigitBlock(10, 1, [1]), 2)
+
+    def test_chunk_edges_match_counter_reference(self):
+        # windows are indexed _CHUNK_WINDOWS at a time: lengths around one
+        # chunk and past three, in the dense table (also with a chunk
+        # stretched to a table longer than _CHUNK_WINDOWS) and the sparse one
+        chunk = normality._CHUNK_WINDOWS
+        rng = random.Random(19)
+        branches = set()
+        for base in (2, 10, 256):
+            for k in (1, 2, 3):
+                # a small alphabet first, so that sparse cells recur across chunks
+                values = ([rng.randrange(min(base, 3)) for _ in range(2 * chunk)]
+                          + [rng.randrange(base) for _ in range(chunk + k + 1)])
+                for length in [*range(chunk - 1, chunk + k + 1), 3 * chunk + 1]:
+                    samples = length - k + 1
+                    branches.add("dense" if base ** k <= samples else "sparse")
+                    if chunk < base ** k <= samples:
+                        branches.add("stretched")
+                    window = values[:length]
+                    got = kgram_counts(DigitBlock(base, 1, window), k)
+                    reference = Counter(zip(*(window[i:] for i in range(k))))
+                    assert got.counts == dict(reference), (base, k, length)
+                    assert list(got.counts) == sorted(got.counts)
+        assert branches == {"dense", "sparse", "stretched"}
+
+    def test_index_memory_is_bounded_by_the_chunk(self):
+        # 2 * 10**6 digits: an index over every window would take 8 bytes
+        # per digit
+        block = digits_in_base(ConstantSpec.champernowne(10), 10, 2 * 10 ** 6)
+        for k in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                counts = kgram_counts(block, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(counts.counts.values()) == len(block) - k + 1
+            assert peak < len(block), (k, peak)
 
 
 class TestChiSquare:
@@ -292,6 +334,37 @@ class TestNormalityScan:
         assert len(record["per_k"]) == 1
         assert set(record["per_k"][0]) == {
             "k", "cells", "samples", "chi_square", "dof", "p_value", "underflow"}
+
+
+class TestNormalityCommand:
+    """CLI output of the normality command, pinned byte for byte."""
+
+    @pytest.mark.parametrize("constant, length, kmax, fmt, digest", [
+        ("champernowne10", 10 ** 6, 2, "text",
+         "0eaebd0ec0018e19955bea8f5d6d2c66a39585d6972d0f8633c6cf026605ab42"),
+        ("champernowne10", 10 ** 6, 2, "json",
+         "9eebb1abf9c4202521ebf6ee2c7e682fcd1969d6db09343119f37cc5f292ee1b"),
+        ("pi", 20000, 3, "text",
+         "284d5f7607faa42cde7606f02e2b49009bd3a6e5975a1397478944c45bc3e80b"),
+        ("pi", 20000, 3, "json",
+         "1d3716759b342a5129ffe1e8a50f17e9e1436c977f494a28295b1ae7214996a0"),
+    ])
+    def test_golden_stdout(self, capsys, constant, length, kmax, fmt, digest):
+        code = main(["normality", "--constant", constant, "--length", str(length),
+                     "--kmax", str(kmax), "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("length, kmax, message", [
+        (100, 3, "error: 99 windows for 100 cells; need >= 5.0 per cell\n"),
+        (1000, 9, "error: 998 windows for 1000 cells; need >= 5.0 per cell\n"),
+    ])
+    def test_too_few_samples_message(self, capsys, length, kmax, message):
+        code = main(["normality", "--constant", "pi", "--length", str(length),
+                     "--kmax", str(kmax)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", message)
 
 
 class TestEquidistribution:
