@@ -26,7 +26,10 @@ def encode(base: int, identifier: str, digits) -> bytes:
         raise CacheError(f"identifier too long for cache header: {identifier!r}")
     if not 2 <= base <= 256:
         raise CacheError(f"base {base} not cacheable")
-    payload = bytes(digits)
+    try:
+        payload = bytes(digits)
+    except (TypeError, ValueError) as exc:  # a digit outside 0..255, or not an int
+        raise CacheError(f"digits must be integers in 0..{base - 1}") from exc
     bad = payload.translate(None, bytes(range(base)))
     if bad:
         raise CacheError(f"digit {max(bad)} >= base {base}")
@@ -36,8 +39,12 @@ def encode(base: int, identifier: str, digits) -> bytes:
     return b"".join((header, payload, struct.pack("<I", crc)))
 
 
-def _payload(blob: bytes) -> tuple[int, str, bytes]:
-    """decode(), with the digits as the validated payload bytes."""
+def decode(blob: bytes) -> tuple[int, str, bytes]:
+    """(base, identifier, digits) of an SGND file, the digits as the payload
+    bytes, one byte per digit. CacheError for a file shorter than its header,
+    bad magic or version, a base outside 2..256, a length that does not match
+    the digit count, a CRC mismatch, an identifier that is not UTF-8, or a
+    digit at or above the base."""
     if len(blob) < 20:
         raise CacheError("cache file truncated")
     if blob[:4] != MAGIC:
@@ -67,11 +74,6 @@ def _payload(blob: bytes) -> tuple[int, str, bytes]:
     if bad:
         raise CacheError(f"digit {max(bad)} >= base {base}")
     return base, identifier, payload
-
-
-def decode(blob: bytes) -> tuple[int, str, list[int]]:
-    base, identifier, payload = _payload(blob)
-    return base, identifier, list(payload)
 
 
 def cache_path(cache_dir: str | os.PathLike, identifier: str, base: int) -> Path:
@@ -105,4 +107,6 @@ def _read(path: str | os.PathLike) -> bytes:
 
 
 def read_cache(path: str | os.PathLike) -> tuple[int, str, list[int]]:
-    return decode(_read(path))
+    """decode() of the file at `path`, the digits as a list of ints."""
+    base, identifier, payload = decode(_read(path))
+    return base, identifier, list(payload)

@@ -149,22 +149,19 @@ def cmd_digits(args) -> int:
         print("count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     ident = spec.identifier()
+    digits = b""
     if args.cache:
         cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
         path = cache_mod.cache_path(cache_dir, ident, args.base)
         if path.exists():
-            base_f, ident_f, cached = cache_mod._payload(cache_mod._read(path))
+            base_f, ident_f, digits = cache_mod.decode(cache_mod._read(path))
             if base_f != args.base or ident_f != ident:
                 raise CacheError(f"cache file {path} holds {ident_f} base {base_f}")
-            if len(cached) >= args.count:
-                print(digit_glyphs(cached[:args.count]))
-                return EXIT_OK
-        block = digits_in_base(spec, args.base, args.count)
-        cache_mod.write_cache(path, args.base, ident, block.data)
-        print(digit_glyphs(block.data))
-        return EXIT_OK
-    block = digits_in_base(spec, args.base, args.count)
-    print(digit_glyphs(block.data))
+    if len(digits) < args.count:  # no cache, a miss, or too short a hit
+        digits = digits_in_base(spec, args.base, args.count).data
+        if args.cache:
+            cache_mod.write_cache(path, args.base, ident, digits)
+    print(digit_glyphs(digits[:args.count]))
     return EXIT_OK
 
 

@@ -244,17 +244,11 @@ def digits_to_int(digits: Sequence[int], base: int):
     return build(0, len(digits))
 
 
-def int_to_digits(value, base: int, count: int) -> list[int]:
-    """Exactly `count` base-`base` digits of `value`, most significant first.
+def int_to_digits(value, base: int, count: int) -> bytes:
+    """Exactly `count` base-`base` digits of `value`, most significant first,
+    as bytes, one byte per digit.
 
     Requires 0 <= value < base**count; the result is zero padded on the left.
-    """
-    return list(int_to_digit_bytes(value, base, count))
-
-
-def int_to_digit_bytes(value, base: int, count: int) -> bytes:
-    """int_to_digits as bytes, one byte per digit.
-
     A power-of-two base reads the digits off the bits of `value`. Any other
     base splits `value` by divisions by powers of base**k into leaves below
     base**k, k the largest with base**k < 2**63, and takes the k digits of
@@ -496,8 +490,8 @@ def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0
         rem = x % band
         margin = err + 1
         if margin <= rem < band - margin:
-            return int_to_digit_bytes(_arith.divmod(x // band, _powers(base)(count - done))[1],
-                                      base, count - done), g
+            return int_to_digits(_arith.divmod(x // band, _powers(base)(count - done))[1],
+                                 base, count - done), g
         g *= 2
     raise PrecisionExhausted(f"could not certify {what}")
 
@@ -571,7 +565,7 @@ def _concat_chunks(spec: ConstantSpec) -> Iterator[bytes]:
                 width = int(f.bit_length() * math.log10(2)) + 1
                 while mpz(10) ** width <= f:
                     width += 1
-                yield int_to_digit_bytes(f, 10, width).lstrip(b"\0")
+                yield int_to_digits(f, 10, width).lstrip(b"\0")
     else:
         raise UnsupportedConstant(f"{spec.kind} is not a concatenation constant")
 
@@ -656,7 +650,7 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
             lo = _arith.divmod(mul(p_cur - a0 * q_cur, scale), q_cur)[0]
             hi = _arith.divmod(mul(p_prev - a0 * q_prev, scale), q_prev)[0]
             if lo == hi:
-                return DigitBlock(base, 1, int_to_digit_bytes(lo, base, count))
+                return DigitBlock(base, 1, int_to_digits(lo, base, count))
     else:
         raise PrecisionExhausted("convergents did not certify the digits")
     num = p_cur - a0 * q_cur
@@ -684,7 +678,7 @@ def _convert_run(src_digits: Sequence[int], src_base: int, used: int,
     `upper`, of the largest value below it plus one unit in its last place."""
     x = digits_to_int(src_digits[:used], src_base) + upper
     y = _arith.divmod(mul(x, mpz(dst_base) ** out_count) - upper, mpz(src_base) ** used)[0]
-    return int_to_digit_bytes(y, dst_base, out_count)
+    return int_to_digits(y, dst_base, out_count)
 
 
 def base_convert(decimal_fraction, target_base: int, out_count: int,
@@ -739,7 +733,7 @@ def _concat_scaled(spec: ConstantSpec, base: int):
 
     def scaled(prec: int):
         need = _ceil_digits_needed(prec, base, src)
-        x = digits_to_int(concat_constant_digits(spec, need).data, src)
+        x = digits_to_int(_take(_concat_chunks(spec), need), src)
         return _arith.divmod(mul(x, mpz(base) ** prec), mpz(src) ** need)[0], 2
 
     return scaled

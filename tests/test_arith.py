@@ -204,7 +204,7 @@ class TestRadixConversion:
             for count in (1, 64, 65, 3000, 25_000):
                 value = rng.randrange(10 ** count)
                 expected = [int(c) for c in str(value).zfill(count)]
-                assert int_to_digits(value, 10, count) == expected, count
+                assert int_to_digits(value, 10, count) == bytes(expected), count
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
@@ -214,7 +214,7 @@ class TestRadixConversion:
         rng = random.Random(base)
         digits = [rng.randrange(base) for _ in range(count)]
         digits[0] = 0  # zero padding on the left survives
-        assert int_to_digits(digits_to_int(digits, base), base, count) == digits
+        assert int_to_digits(digits_to_int(digits, base), base, count) == bytes(digits)
 
     @pytest.mark.parametrize("base", [2, 3, 4, 8, 10, 16, 32, 64, 128, 200, 255, 256])
     def test_leaf_boundaries_against_divmod(self, base):
@@ -227,7 +227,7 @@ class TestRadixConversion:
             for _ in range(count):
                 v, d = divmod(v, base)
                 expected.append(d)
-            assert int_to_digits(value, base, count) == expected[::-1], count
-            assert int_to_digits(base ** count - 1, base, count) == [base - 1] * count
+            assert int_to_digits(value, base, count) == bytes(expected[::-1]), count
+            assert int_to_digits(base ** count - 1, base, count) == bytes([base - 1] * count)
             with pytest.raises(ValueError):
                 int_to_digits(base ** count, base, count)

@@ -18,7 +18,7 @@ class TestEncodeDecode:
     def test_roundtrip(self):
         blob = sample_blob()
         base, ident, digits = decode(blob)
-        assert (base, ident, digits) == (11, "pi", [1, 6, 1, 5, 0, 7])
+        assert (base, ident, digits) == (11, "pi", bytes([1, 6, 1, 5, 0, 7]))
 
     def test_layout(self):
         blob = sample_blob(base=10, ident="pi", digits=(1, 4, 1))
@@ -89,6 +89,11 @@ class TestEncodeDecode:
         with pytest.raises(CacheError):
             encode(10, "pi", b"\x01\x0a")
 
+    @pytest.mark.parametrize("digit", [300, -1, 1.5])
+    def test_encode_rejects_digits_that_are_not_bytes(self, digit):
+        with pytest.raises(CacheError, match=r"^digits must be integers in 0\.\.9$"):
+            encode(10, "pi", [1, digit])
+
     def test_messages_name_the_largest_rejected_digit(self):
         with pytest.raises(CacheError, match="^digit 12 >= base 10$"):
             encode(10, "pi", bytes([1, 12, 9, 11]))
@@ -110,7 +115,7 @@ class TestEncodeDecode:
 
     def test_base_256_digits(self):
         base, ident, digits = decode(encode(256, "pi", [0, 255, 128]))
-        assert base == 256 and digits == [0, 255, 128]
+        assert base == 256 and digits == bytes([0, 255, 128])
 
 
 class TestFileRoundTrip:

@@ -59,15 +59,34 @@ class TestCacheFlow:
         argv = ("digits", "--constant", "pi", "--base", "11", "--cache", "--cache-dir", str(tmp_path))
         code, miss, _ = run(capsys, *argv, "--count", "3000")
         assert code == EXIT_OK
+        decoded = []
+        decode = cache_mod.decode
+
+        def spy(blob):
+            result = decode(blob)
+            decoded.append(type(result[2]))
+            return result
 
         def as_list(*args):
             raise AssertionError("the cache hit built a list of the cached digits")
 
-        monkeypatch.setattr(cache_mod, "decode", as_list)
+        monkeypatch.setattr(cache_mod, "decode", spy)
         monkeypatch.setattr(cache_mod, "read_cache", as_list)
         for count in (3000, 2500):
             code, hit, _ = run(capsys, *argv, "--count", str(count))
             assert code == EXIT_OK and hit == miss[:count] + "\n"
+        assert decoded == [bytes, bytes]  # one decode per hit, to bytes
+
+    @pytest.mark.parametrize("base, ident", [(10, "e"), (11, "pi")])
+    def test_cache_file_of_another_constant_or_base_exits_three(self, capsys, tmp_path,
+                                                                base, ident):
+        path = cache_path(tmp_path, "pi", 10)
+        cache_mod.write_cache(path, base, ident, [1, 4, 1, 5])
+        code, out, err = run(capsys, "digits", "--constant", "pi", "--count", "3",
+                             "--cache", "--cache-dir", str(tmp_path))
+        assert code == EXIT_CACHE and out == ""
+        assert err == f"cache error: cache file {path} holds {ident} base {base}\n"
+        assert read_cache(path) == (base, ident, [1, 4, 1, 5])
 
     def test_cache_extension_rewrites(self, capsys, tmp_path):
         run(capsys, "digits", "--constant", "sqrt2", "--count", "5",

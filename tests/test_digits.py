@@ -563,7 +563,7 @@ class TestGrowingSources:
 
     def test_pi_stream_costs_one_call(self, monkeypatch):
         counts = {"terms": 0, "digits": 0}
-        term, to_digits = digits_module._chudnovsky_term, digits_module.int_to_digit_bytes
+        term, to_digits = digits_module._chudnovsky_term, digits_module.int_to_digits
 
         def counted_term(k):
             counts["terms"] += 1
@@ -574,7 +574,7 @@ class TestGrowingSources:
             return to_digits(value, base, count)
 
         monkeypatch.setattr(digits_module, "_chudnovsky_term", counted_term)
-        monkeypatch.setattr(digits_module, "int_to_digit_bytes", counted_digits)
+        monkeypatch.setattr(digits_module, "int_to_digits", counted_digits)
         total, block = 102400, 4096
         whole = digits_in_base(PI, 10, total).data
         one_call = dict(counts)
@@ -1009,6 +1009,28 @@ class TestCertifier:
         assert _certify(scaled, 10, 3, 2, "test digits", done=1) == (bytes([2, 3]), 2)
         assert _certify(scaled, 10, 3, 2, "test digits", done=3) == (b"", 2)
 
+    def test_each_certified_call_converts_its_new_digits(self, monkeypatch):
+        # a series call, two stream refills and a BBP window each convert
+        # digits done+1..count, once, through int_to_digits
+        seen = []
+        to_digits = digits_module.int_to_digits
+
+        def spy(value, base, count):
+            seen.append((base, count))
+            return to_digits(value, base, count)
+
+        monkeypatch.setattr(digits_module, "int_to_digits", spy)
+        whole = digits_in_base(PI, 11, 700).data
+        assert seen == [(11, 700)]
+        seen.clear()
+        digits = _computed(PI, 11, DEFAULT_GUARD)
+        assert digits(300, 0) + digits(700, 300) == whole
+        assert seen == [(11, 300), (11, 400)]
+        native = digits_in_base(PI, 16, 1023).data
+        seen.clear()
+        assert bbp.extract_digits(bbp.pi_formula(), 1000, 24).data == native[999:]
+        assert seen == [(16, 24)]
+
 
 class TestIntDigitHelpers:
     def test_roundtrip(self):
@@ -1018,7 +1040,7 @@ class TestIntDigitHelpers:
             count = rng.randint(1, 200)
             digits = [rng.randrange(base) for _ in range(count)]
             value = digits_to_int(digits, base)
-            assert int_to_digits(value, base, count) == digits
+            assert int_to_digits(value, base, count) == bytes(digits)
 
     def test_int_to_digits_overflow(self):
         with pytest.raises(ValueError):
