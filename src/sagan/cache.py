@@ -9,6 +9,7 @@ the CRC always covers the full payload.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 import zlib
@@ -26,6 +27,8 @@ def encode(base: int, identifier: str, digits) -> bytes:
         raise CacheError(f"identifier too long for cache header: {identifier!r}")
     if not 2 <= base <= 256:
         raise CacheError(f"base {base} not cacheable")
+    if isinstance(digits, numbers.Integral):  # bytes(n) is n zero bytes
+        raise CacheError("digits must be a sequence of digits, not an int")
     try:
         payload = bytes(digits)
     except (TypeError, ValueError) as exc:  # a digit outside 0..255, or not an int

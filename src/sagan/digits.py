@@ -62,8 +62,10 @@ class ConstantSpec:
             if self.q < 1:
                 raise UnsupportedConstant("rational denominator must be >= 1")
         if self.kind == CHAMPERNOWNE:
-            if self.base is None or self.base < 2:
-                raise UnsupportedConstant("champernowne base must be >= 2")
+            # one byte per digit: a native digit must fit the generator's uint8
+            if self.base is None or not MIN_BASE <= self.base <= MAX_BASE:
+                raise UnsupportedConstant(
+                    f"champernowne base must be in {MIN_BASE}..{MAX_BASE}")
 
     @classmethod
     def pi(cls) -> "ConstantSpec":
@@ -566,8 +568,6 @@ def _concat_chunks(spec: ConstantSpec) -> Iterator[bytes]:
                 while mpz(10) ** width <= f:
                     width += 1
                 yield int_to_digits(f, 10, width).lstrip(b"\0")
-    else:
-        raise UnsupportedConstant(f"{spec.kind} is not a concatenation constant")
 
 
 def _rational_chunks(p: int, q: int, base: int, skip: int = 0) -> Iterator[bytes]:
@@ -594,20 +594,11 @@ def _exact_chunks(spec: ConstantSpec, base: int) -> Iterator[bytes] | None:
     return None
 
 
-def _take(chunks: Iterator[bytes], count: int) -> bytes:
-    """The first `count` digits of a chunk iterator. Each digit is copied
-    once, into a buffer that BytesIO.getvalue() returns without copying."""
-    out = io.BytesIO()
-    while out.tell() < count:
-        out.write(next(chunks)[:count - out.tell()])
-    return out.getvalue()
-
-
 def concat_constant_digits(spec: ConstantSpec, count: int) -> DigitBlock:
     """First `count` digits of a concatenation constant in its native base."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return DigitBlock(spec.native_base(), 1, _take(_concat_chunks(spec), count))
+    if spec.native_base() is None:
+        raise UnsupportedConstant(f"{spec.kind} is not a concatenation constant")
+    return digits_in_base(spec, spec.native_base(), count)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +644,7 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
                 return DigitBlock(base, 1, int_to_digits(lo, base, count))
     else:
         raise PrecisionExhausted("convergents did not certify the digits")
-    num = p_cur - a0 * q_cur
-    return DigitBlock(base, 1, _take(_rational_chunks(int(num), int(q_cur), base), count))
+    return digits_in_base(ConstantSpec.rational(int(p_cur - a0 * q_cur), int(q_cur)), base, count)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +723,7 @@ def _concat_scaled(spec: ConstantSpec, base: int):
 
     def scaled(prec: int):
         need = _ceil_digits_needed(prec, base, src)
-        x = digits_to_int(_take(_concat_chunks(spec), need), src)
+        x = digits_to_int(digits_in_base(spec, src, need).data, src)
         return _arith.divmod(mul(x, mpz(base) ** prec), mpz(src) ** need)[0], 2
 
     return scaled
@@ -758,13 +748,16 @@ def _computed(constant: ConstantSpec, base: int, guard: int):
 
 def digits_in_base(constant: ConstantSpec, base: int, count: int,
                    guard: int = DEFAULT_GUARD) -> DigitBlock:
-    """First `count` fractional digits of `constant` in `base`, position exact."""
+    """First `count` fractional digits of `constant` in `base`, position exact:
+    one read of a stream reserved for exactly those digits, so a computed
+    constant is certified in one call, with `guard`."""
     _check_base(base)
     if count < 1:
         raise ValueError("count must be >= 1")
-    chunks = _exact_chunks(constant, base)
-    data = _take(chunks, count) if chunks else _computed(constant, base, guard)(count, 0)
-    return DigitBlock(base, 1, data)
+    stream = DigitStream(constant, base, count)
+    stream._guard = guard
+    stream.reserve(count)
+    return stream.take(count)
 
 
 def decimal_digits(constant: ConstantSpec, count: int,
@@ -777,15 +770,17 @@ def decimal_digits(constant: ConstantSpec, count: int,
 # streams
 
 class DigitStream:
-    """Single-consumer pull stream of contiguous DigitBlocks.
+    """Single-consumer pull stream of contiguous DigitBlocks; the one reader
+    of digit sources, which `digits_in_base` reads once, reserved.
 
     Two independent streams over the same (constant, base) produce identical
     digit prefixes. Exact sources are generated chunk by chunk; any other
     constant keeps one source, which each refill extends geometrically, up to
-    what reserve() says will be read, converting only the new digits. Digits
-    behind the cursor are dropped once they fill half the buffer, and a chunk
-    that ends before the cursor is never buffered. After a skip past every
-    generated digit, a rational restarts its long division at the cursor.
+    what reserve() says will be read, converting only the new digits. A read
+    copies each digit once into its result; the stream holds only the unread
+    tail of the last chunk, and a chunk that ends before the cursor is
+    dropped. After a skip past every generated digit, a rational restarts
+    its long division at the cursor.
     """
 
     def __init__(self, source: ConstantSpec, base: int, block_size: int):
@@ -796,17 +791,18 @@ class DigitStream:
         self.base = base
         self.block_size = block_size
         self.cursor = 1
-        self._buf = bytearray()  # digits from position self._first on
-        self._first = 1
-        self._need = 0           # last position the current read needs
-        self._horizon = math.inf  # see reserve()
+        self._tail = memoryview(b"")  # the unread end of the last chunk
+        self._end = 1                 # the position after it
+        self._need = 0                # last position the current read needs
+        self._horizon = math.inf      # see reserve()
+        self._guard = DEFAULT_GUARD   # digits_in_base passes its own
         self._chunks = _exact_chunks(source, base) or self._extended()
 
     def _extended(self) -> Iterator[bytes]:
         """Chunks of a constant without an exact source: each one extends
         the digits to twice the last target (at least the current need,
         at most the horizon) and yields those past the last target."""
-        digits = _computed(self.source, self.base, DEFAULT_GUARD)
+        digits = _computed(self.source, self.base, self._guard)
         done = 0
         while True:
             read = self._need + 1 - self.cursor
@@ -821,23 +817,22 @@ class DigitStream:
             raise ValueError("count must be >= 0")
         start, stop = self.cursor, self.cursor + count
         self._need = stop - 1
-        end = self._first + len(self._buf)  # the first position not generated
+        view, end = self._tail, self._end  # view holds positions end - len(view) .. end - 1
         if start > end and self.source.kind == RATIONAL:
             # a jump: restart the long division at the cursor
             self._chunks = _rational_chunks(self.source.p, self.source.q, self.base, start - 1)
-            self._buf.clear()
-            self._first = end = start
-        while end < stop:
-            self._buf += next(self._chunks)
-            end = self._first + len(self._buf)
-            if end <= start:  # everything generated lies before the cursor
-                self._buf.clear()
-                self._first = end
-        if start - self._first > len(self._buf) // 2:
-            del self._buf[:start - self._first]
-            self._first = start
+            view, end = memoryview(b""), start
+        out = io.BytesIO()
+        while True:
+            first = end - len(view)
+            out.write(view[max(0, start - first):max(0, stop - first)])
+            if end >= stop:
+                break
+            chunk = next(self._chunks)
+            view, end = memoryview(chunk), end + len(chunk)
+        self._tail, self._end = view[len(view) - (end - stop):], end
         self.cursor = stop
-        return bytes(self._buf[start - self._first:stop - self._first])
+        return out.getvalue()
 
     def reserve(self, count: int):
         """Only the next `count` digits will be read: a refill computes no

@@ -94,6 +94,12 @@ class TestEncodeDecode:
         with pytest.raises(CacheError, match=r"^digits must be integers in 0\.\.9$"):
             encode(10, "pi", [1, digit])
 
+    @pytest.mark.parametrize("digits", [5, True])
+    def test_encode_rejects_an_int_for_digits(self, digits):
+        # bytes(5) would be five zero digits
+        with pytest.raises(CacheError, match="^digits must be a sequence of digits, not an int$"):
+            encode(10, "pi", digits)
+
     def test_messages_name_the_largest_rejected_digit(self):
         with pytest.raises(CacheError, match="^digit 12 >= base 10$"):
             encode(10, "pi", bytes([1, 12, 9, 11]))

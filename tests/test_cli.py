@@ -335,6 +335,8 @@ class TestUsageErrors:
         (("search", "--constant", "pi", "-n", "2", "--limit", "100", "--block-size", "0"),
          "error: block_size must be >= 1"),
         (("normality", "--constant", "pi", "--length", "0"), "error: count must be >= 1"),
+        (("digits", "--constant", "champernowne300", "--count", "900"),
+         "error: champernowne base must be in 2..256"),
         (("ellipse", "-a", "0", "-b", "3", "--width", "8", "--height", "6"),
          "error: semi-axes must be positive"),
         (("ellipse", "-a", "4", "-b", "3", "--width", "0", "--height", "6"),

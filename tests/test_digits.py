@@ -2,6 +2,8 @@
 digit-by-digit root extraction, exact Fraction long division, and known
 printed expansions."""
 
+import ast
+import inspect
 import math
 import random
 import tracemalloc
@@ -93,6 +95,14 @@ class TestConstantSpec:
             ConstantSpec.rational(1, 0)
         with pytest.raises(UnsupportedConstant):
             ConstantSpec.champernowne(1)
+
+    def test_champernowne_base_must_fit_a_byte(self):
+        # native digits are generated one byte each
+        for make in (lambda: ConstantSpec.champernowne(257),
+                     lambda: ConstantSpec.parse("champernowne257")):
+            with pytest.raises(UnsupportedConstant, match=r"in 2\.\.256"):
+                make()
+        assert ConstantSpec.champernowne(256).identifier() == "champernowne256"
 
 
 class TestDigitBlock:
@@ -312,6 +322,18 @@ class TestConcatConstants:
             if n % 97 == 0 or n > 17200:
                 assert chunk[0] != 0 or f == 0
                 assert digits_to_int(chunk, 10) == f
+
+    def test_champernowne256_in_base_10(self):
+        # exact oracle: 330 native digits bound the value within 256**-330,
+        # and the floors of both interval ends agree on 700 decimal digits
+        native = []
+        for n in range(1, 300):
+            native.extend(divmod(n, 256) if n >= 256 else (n,))
+        x = digits_to_int(native[:330], 256)
+        lo, hi = (v * 10 ** 700 // 256 ** 330 for v in (x, x + 1))
+        assert lo == hi
+        got = digits_in_base(ConstantSpec.champernowne(256), 10, 700).data
+        assert got == int_to_digits(lo, 10, 700)
 
     def test_champernowne_foreign_base(self):
         # binary champernowne in base 10 must match its converted value
@@ -534,6 +556,45 @@ class TestStreams:
         stream.take(1000)
         stream.take(10)
         assert targets == [1000, 2000]
+
+    def test_digits_in_base_is_one_certified_read_with_its_guard(self, monkeypatch):
+        calls = []
+        real = digits_module._certify
+
+        def recording(scaled, base, count, guard, what, done=0):
+            calls.append((count, guard, done))
+            return real(scaled, base, count, guard, what, done)
+
+        monkeypatch.setattr(digits_module, "_certify", recording)
+        digits_in_base(PI, 10, 5000, guard=24)
+        assert calls == [(5000, 24, 0)]
+        calls.clear()
+        open_stream(PI, 10, 64).next_block()
+        assert calls == [(256, DEFAULT_GUARD, 0)]
+
+    @pytest.mark.parametrize("count", (10 ** 6, 10 ** 7))
+    def test_exact_read_copies_each_digit_once(self, count):
+        # the result, plus one transient copy of it for DigitBlock's range check
+        tracemalloc.start()
+        try:
+            block = digits_in_base(ConstantSpec.champernowne(10), 10, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block) == count and peak < 2.5 * count, peak / count
+
+    def test_only_the_stream_reads_digit_sources(self):
+        # one digit path: every call of a source constructor sits in a
+        # DigitStream method, so digits_in_base cannot grow a second one
+        tree = ast.parse(inspect.getsource(digits_module))
+        stream = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "DigitStream")
+        inside = {id(node) for node in ast.walk(stream)}
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id in ("_exact_chunks", "_computed")]
+        assert {call.func.id for call in calls} == {"_exact_chunks", "_computed"}
+        assert all(id(call) in inside for call in calls)
 
     def test_determinism_across_streams(self):
         for spec in (PI, ConstantSpec.champernowne(10), ConstantSpec.fibonacci_cfrac()):
