@@ -817,7 +817,9 @@ class DigitStream:
             raise ValueError("count must be >= 0")
         start, stop = self.cursor, self.cursor + count
         self._need = stop - 1
-        view, end = self._tail, self._end  # view holds positions end - len(view) .. end - 1
+        # view holds positions end - len(view) .. end - 1; only it holds the
+        # last chunk, so that the chunk is freed before the next one is made
+        view, end, self._tail = self._tail, self._end, None
         if start > end and self.source.kind == RATIONAL:
             # a jump: restart the long division at the cursor
             self._chunks = _rational_chunks(self.source.p, self.source.q, self.base, start - 1)
@@ -825,12 +827,14 @@ class DigitStream:
         out = io.BytesIO()
         while True:
             first = end - len(view)
-            out.write(view[max(0, start - first):max(0, stop - first)])
+            out.write(view[max(0, start - first):stop - first])
             if end >= stop:
                 break
-            chunk = next(self._chunks)
-            view, end = memoryview(chunk), end + len(chunk)
-        self._tail, self._end = view[len(view) - (end - stop):], end
+            del view
+            view = memoryview(next(self._chunks))
+            end += len(view)
+        rest = end - stop  # an empty slice would still hold the whole chunk
+        self._tail, self._end = view[len(view) - rest:] if rest else memoryview(b""), end
         self.cursor = stop
         return out.getvalue()
 
