@@ -827,15 +827,19 @@ class DigitStream:
         out = io.BytesIO()
         while True:
             first = end - len(view)
-            out.write(view[max(0, start - first):stop - first])
+            piece = view[max(0, start - first):stop - first]
             if end >= stop:
                 break
-            del view
+            out.write(piece)
+            del view, piece
             view = memoryview(next(self._chunks))
             end += len(view)
         rest = end - stop  # an empty slice would still hold the whole chunk
         self._tail, self._end = view[len(view) - rest:] if rest else memoryview(b""), end
         self.cursor = stop
+        if not out.tell() and len(piece) == len(piece.obj):  # one whole chunk: no copy
+            return piece.obj
+        out.write(piece)
         return out.getvalue()
 
     def reserve(self, count: int):
