@@ -777,10 +777,11 @@ class DigitStream:
     digit prefixes. Exact sources are generated chunk by chunk; any other
     constant keeps one source, which each refill extends geometrically, up to
     what reserve() says will be read, converting only the new digits. A read
-    copies each digit once into its result; the stream holds only the unread
-    tail of the last chunk, and a chunk that ends before the cursor is
-    dropped. After a skip past every generated digit, a rational restarts
-    its long division at the cursor.
+    copies each digit once into its result, and a read of one whole chunk,
+    such as a reserved series read, returns the chunk itself. The stream
+    holds only the unread tail of the last chunk, and a chunk that ends
+    before the cursor is dropped. After a skip past every generated digit, a
+    rational restarts its long division at the cursor.
     """
 
     def __init__(self, source: ConstantSpec, base: int, block_size: int):

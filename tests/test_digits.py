@@ -563,11 +563,14 @@ class TestStreams:
 
         def recording(scaled, base, count, guard, what, done=0):
             calls.append((count, guard, done))
-            return real(scaled, base, count, guard, what, done)
+            certified.append(real(scaled, base, count, guard, what, done))
+            return certified[-1]
 
+        certified = []
         monkeypatch.setattr(digits_module, "_certify", recording)
-        digits_in_base(PI, 10, 5000, guard=24)
+        block = digits_in_base(PI, 10, 5000, guard=24)
         assert calls == [(5000, 24, 0)]
+        assert block.data is certified[0][0]  # the one chunk, not a copy of it
         calls.clear()
         open_stream(PI, 10, 64).next_block()
         assert calls == [(256, DEFAULT_GUARD, 0)]
