@@ -61,11 +61,9 @@ class ConstantSpec:
                 raise UnsupportedConstant("rational constant needs p and q")
             if self.q < 1:
                 raise UnsupportedConstant("rational denominator must be >= 1")
-        if self.kind == CHAMPERNOWNE:
-            # one byte per digit: a native digit must fit the generator's uint8
-            if self.base is None or not MIN_BASE <= self.base <= MAX_BASE:
-                raise UnsupportedConstant(
-                    f"champernowne base must be in {MIN_BASE}..{MAX_BASE}")
+        if self.kind == CHAMPERNOWNE and not MIN_BASE <= (self.base or 0) <= MAX_BASE:
+            # native digits are generated one byte (uint8) each
+            raise UnsupportedConstant(f"champernowne base must be in {MIN_BASE}..{MAX_BASE}")
 
     @classmethod
     def pi(cls) -> "ConstantSpec":
@@ -749,8 +747,7 @@ def _computed(constant: ConstantSpec, base: int, guard: int):
 def digits_in_base(constant: ConstantSpec, base: int, count: int,
                    guard: int = DEFAULT_GUARD) -> DigitBlock:
     """First `count` fractional digits of `constant` in `base`, position exact:
-    one read of a stream reserved for exactly those digits, so a computed
-    constant is certified in one call, with `guard`."""
+    one read of a stream reserved for them, certified in one call with `guard`."""
     _check_base(base)
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -770,18 +767,17 @@ def decimal_digits(constant: ConstantSpec, count: int,
 # streams
 
 class DigitStream:
-    """Single-consumer pull stream of contiguous DigitBlocks; the one reader
-    of digit sources, which `digits_in_base` reads once, reserved.
+    """Single-consumer pull stream of contiguous DigitBlocks, and the one
+    reader of digit sources: `digits_in_base` is one reserved read.
 
     Two independent streams over the same (constant, base) produce identical
     digit prefixes. Exact sources are generated chunk by chunk; any other
     constant keeps one source, which each refill extends geometrically, up to
     what reserve() says will be read, converting only the new digits. A read
-    copies each digit once into its result, and a read of one whole chunk,
-    such as a reserved series read, returns the chunk itself. The stream
-    holds only the unread tail of the last chunk, and a chunk that ends
-    before the cursor is dropped. After a skip past every generated digit, a
-    rational restarts its long division at the cursor.
+    copies each digit once, but returns a read of one whole chunk (such as a
+    reserved series read) as it is. Only the unread tail of the last chunk is
+    kept, and a chunk that ends before the cursor is dropped. After a skip
+    past every generated digit, a rational restarts its long division there.
     """
 
     def __init__(self, source: ConstantSpec, base: int, block_size: int):
@@ -797,20 +793,21 @@ class DigitStream:
         self._need = 0                # last position the current read needs
         self._horizon = math.inf      # see reserve()
         self._guard = DEFAULT_GUARD   # digits_in_base passes its own
-        self._chunks = _exact_chunks(source, base) or self._extended()
+        self._chunks = _exact_chunks(source, base)  # None: _refill computes them
+        self._digits, self._done = None, 0  # the computed source, digits it made
 
-    def _extended(self) -> Iterator[bytes]:
-        """Chunks of a constant without an exact source: each one extends
-        the digits to twice the last target (at least the current need,
-        at most the horizon) and yields those past the last target."""
-        digits = _computed(self.source, self.base, self._guard)
-        done = 0
-        while True:
-            read = self._need + 1 - self.cursor
-            grow = min(max(2 * done, 4 * min(self.block_size, read), 64), self._horizon)
-            target = max(self._need, grow)
-            yield digits(target, done)
-            done = target
+    def _refill(self) -> bytes:
+        """The next chunk of a constant without an exact source: it extends
+        the digits to twice the last target (at least the current need, at
+        most the horizon) and returns those past the last target. The source
+        is made at the first refill, so it takes the guard digits_in_base sets."""
+        self._digits = self._digits or _computed(self.source, self.base, self._guard)
+        read = self._need + 1 - self.cursor
+        grow = min(max(2 * self._done, 4 * min(self.block_size, read), 64), self._horizon)
+        target = max(self._need, grow)
+        chunk = self._digits(target, self._done)
+        self._done = target
+        return chunk
 
     def _read(self, count: int) -> bytes:
         """The `count` digits from the cursor; advances the cursor past them."""
@@ -833,11 +830,9 @@ class DigitStream:
                 break
             out.write(piece)
             del view, piece
-            view = memoryview(next(self._chunks))
+            view = memoryview(next(self._chunks) if self._chunks else self._refill())
             end += len(view)
-        rest = end - stop  # an empty slice would still hold the whole chunk
-        self._tail, self._end = view[len(view) - rest:] if rest else memoryview(b""), end
-        self.cursor = stop
+        self._tail, self._end, self.cursor = view[len(view) - (end - stop):], end, stop
         if not out.tell() and len(piece) == len(piece.obj):  # one whole chunk: no copy
             return piece.obj
         out.write(piece)
