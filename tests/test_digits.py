@@ -3,10 +3,12 @@ digit-by-digit root extraction, exact Fraction long division, and known
 printed expansions."""
 
 import ast
+import gc
 import inspect
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -585,6 +587,19 @@ class TestStreams:
         finally:
             tracemalloc.stop()
         assert len(block) == count and peak < 2.5 * count, peak / count
+
+    def test_a_dropped_stream_frees_its_source_at_once(self):
+        # no reference cycle keeps a computed source's series state alive
+        # until the cyclic collector runs
+        gc.disable()
+        try:
+            stream = open_stream(PI, 10, 64)
+            stream.next_block()
+            dropped = weakref.ref(stream)
+            del stream
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_only_the_stream_reads_digit_sources(self):
         # one digit path: every call of a source constructor sits in a
