@@ -294,7 +294,8 @@ def int_to_digits(value, base: int, count: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# scaled-fraction sources: scaled(prec) = X, err with |X - frac(value) * base**prec| <= err
+# scaled-fraction sources: scaled(prec) = X, err with |X - frac(value) * base**prec| <= err,
+# except that err = 0 says more: X is the floor of frac(value) * base**prec (_cfrac_source)
 #
 # Each series is one _split sum and one _quotient, so X is off from the scaled
 # value V by the division's error plus the scaled tail past the last term,
@@ -468,7 +469,48 @@ def _log2_source(base: int):
                        base)
 
 
-_SOURCES = {PI: _pi_source, SQRT2: _sqrt2_source, E: _e_source, LOG2: _log2_source}
+def _cfrac_source(coefficients: Iterable[int], base: int):
+    """scaled(prec) = X, 0 with X = floor((x - a0) * base**prec) exactly, for
+    x = [a0; a1, a2, ...], a_i >= 1 past a0; the last two convergents carry
+    over from one call to the next.
+
+    Consecutive convergents bracket x (Brent & Zimmermann, Modern Computer
+    Arithmetic, ch. 4), and floor is monotone, so once p_(n-1)/q_(n-1) and
+    p_n/q_n floor to the same X at prec, so does x. They are compared once
+    q_(n-1) q_n passes base**prec, when the bracket, 1/(q_(n-1) q_n) wide, is
+    under one unit. A list that ends is the rational p_n/q_n, its fraction
+    taken mod 1 so that [a0; 1] = a0 + 1 reads as all zeros."""
+    it = iter(coefficients)
+    try:
+        a0 = int(next(it))
+    except StopIteration:
+        raise NonPositiveCoefficient("empty coefficient sequence") from None
+    p_prev, q_prev, p_cur, q_cur, ended = mpz(1), mpz(0), mpz(a0), mpz(1), False
+
+    def scaled(prec: int):
+        nonlocal p_prev, q_prev, p_cur, q_cur, ended
+        scale = _powers(base)(prec)
+        while not ended:
+            # bl(a) + bl(b) >= bl(scale) + 2 gives a b >= 2**bl(scale) > scale
+            if q_cur.bit_length() + q_prev.bit_length() >= scale.bit_length() + 2:
+                x = _arith.divmod(mul(p_cur - a0 * q_cur, scale), q_cur)[0]
+                if x == _arith.divmod(mul(p_prev - a0 * q_prev, scale), q_prev)[0]:
+                    return x, 0
+            try:
+                a = int(next(it))
+            except StopIteration:
+                ended = True
+                break
+            if a < 1:
+                raise NonPositiveCoefficient(f"coefficient {a} must be >= 1")
+            p_prev, p_cur = p_cur, a * p_cur + p_prev
+            q_prev, q_cur = q_cur, a * q_cur + q_prev
+        return _arith.divmod(mul((p_cur - a0 * q_cur) % q_cur, scale), q_cur)[0], 0
+    return scaled
+
+
+_SOURCES = {PI: _pi_source, SQRT2: _sqrt2_source, E: _e_source, LOG2: _log2_source,
+            FIBONACCI_CFRAC: lambda base: _cfrac_source(fibonacci_numbers(), base)}
 
 
 def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0):
@@ -476,6 +518,10 @@ def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0
     X mod base**g is more than err from both ends of the band, so that no
     value within err of X carries into them, and the g that certified them;
     g doubles, four tries.
+
+    err = 0 means X = floor(V), V = frac(value) * base**(count + g), and then
+    X // base**g = floor(floor(V) / base**g) = floor(V / base**g) whatever
+    the remainder: the digits are the truncation and certify at once.
 
     A band of base**g <= 2 * (err + 1) leaves no remainder that certifies, so
     g starts at the smallest g >= guard whose band is wider than that for
@@ -487,9 +533,7 @@ def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0
     for _ in range(4):
         x, err = scaled(count + g)
         band = mpz(base) ** g
-        rem = x % band
-        margin = err + 1
-        if margin <= rem < band - margin:
+        if err == 0 or err < x % band < band - 1 - err:
             return int_to_digits(_arith.divmod(x // band, _powers(base)(count - done))[1],
                                  base, count - done), g
         g *= 2
@@ -603,46 +647,24 @@ def concat_constant_digits(spec: ConstantSpec, count: int) -> DigitBlock:
 # continued fractions
 
 def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlock:
-    """Fractional digits of [a0; a1, a2, ...] via convergent bracketing.
+    """The first `count` fractional digits of [a0; a1, a2, ...], truncated.
 
-    Consecutive convergents bracket the value, so digits are released only
-    once both interval ends truncate identically and the interval width is
-    below base**-(count+2). A finite coefficient list denotes the exact
-    rational it spells out.
+    The digits come from one `_certify` call on `_cfrac_source`, whose X at
+    count + guard digits is the exact floor: the two convergents that bracket
+    the value floor to the same X. A finite coefficient list denotes the
+    exact rational it spells out, [a0; 1] = a0 + 1 reading as all zeros.
+    NonPositiveCoefficient is raised for an empty sequence and for a
+    coefficient below 1 past a0 once it is read; reading stops once the
+    digits are fixed. An infinite list of positive coefficients spells an
+    irrational, which no convergent equals, so the two floors agree after
+    finitely many coefficients and no cap on the count is needed; the
+    golden ratio at 3 * 10**6 digits needs about 1.4 * 10**7 of them.
     """
     _check_base(base)
     if count < 1:
         raise ValueError("count must be >= 1")
-    it = iter(coefficients)
-    try:
-        a0 = int(next(it))
-    except StopIteration:
-        raise NonPositiveCoefficient("empty coefficient sequence") from None
-
-    scale = mpz(base) ** count
-    bound = scale * base * base  # interval width must be < base**-(count+2)
-    # bl(x*y) <= bl(x) + bl(y), so below this sum the product is below bound
-    bound_bits = bound.bit_length()
-    p_prev, q_prev = mpz(1), mpz(0)
-    p_cur, q_cur = mpz(a0), mpz(1)
-    for _ in range(10 ** 7):
-        try:
-            a = int(next(it))
-        except StopIteration:  # a finite list: its exact rational endpoint
-            break
-        if a < 1:
-            raise NonPositiveCoefficient(f"coefficient {a} must be >= 1")
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if (q_prev and q_cur.bit_length() + q_prev.bit_length() >= bound_bits
-                and q_cur * q_prev > bound):
-            lo = _arith.divmod(mul(p_cur - a0 * q_cur, scale), q_cur)[0]
-            hi = _arith.divmod(mul(p_prev - a0 * q_prev, scale), q_prev)[0]
-            if lo == hi:
-                return DigitBlock(base, 1, int_to_digits(lo, base, count))
-    else:
-        raise PrecisionExhausted("convergents did not certify the digits")
-    return digits_in_base(ConstantSpec.rational(int(p_cur - a0 * q_cur), int(q_cur)), base, count)
+    return DigitBlock(base, 1, _certify(_cfrac_source(coefficients, base), base, count,
+                                        DEFAULT_GUARD, f"{count} base-{base} digits")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +707,8 @@ def base_convert(decimal_fraction, target_base: int, out_count: int,
     _check_base(target_base)
     if out_count < 1:
         raise ValueError("out_count must be >= 1")
+    if guard < 0:
+        raise ValueError("guard must be >= 0")
     if isinstance(decimal_fraction, DigitBlock):
         if decimal_fraction.base != 10:
             raise InvalidDigit("input block must be base 10")
@@ -737,8 +761,6 @@ def _check_base(base: int):
 
 def _computed(constant: ConstantSpec, base: int, guard: int):
     """digits(count, done): digits done+1..count, all from one source."""
-    if constant.kind == FIBONACCI_CFRAC:
-        return lambda count, done: cfrac_digits(fibonacci_numbers(), base, count).data[done:]
     scaled = _SOURCES.get(constant.kind, lambda b: _concat_scaled(constant, b))(base)
     what = f"base-{base} digits of {constant.identifier()}"
     return lambda count, done: _certify(scaled, base, count, guard, f"{count} {what}", done)[0]

@@ -250,6 +250,12 @@ class TestBaseConvert:
         # the true rational 1/7 itself is exact in base 7
         assert digits_in_base(ConstantSpec.rational(1, 7), 7, 6).digits == (1, 0, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("guard", [-1, -4])
+    def test_rejects_a_negative_guard(self, guard):
+        # -4 made 10**guard a float, -1 a misleading PrecisionExhausted
+        with pytest.raises(ValueError, match="guard must be >= 0"):
+            base_convert(decimal_digits(PI, 40), 11, 6, guard=guard)
+
     def test_rejects_non_decimal_block(self):
         with pytest.raises(InvalidDigit):
             base_convert(digits_in_base(PI, 16, 30), 2, 4)
@@ -412,6 +418,16 @@ class TestContinuedFractions:
             got = cfrac_digits(coeffs, base, count)
             assert digits_to_int(got.digits, base) == cfrac_reference(coeffs, base, count), \
                 (coeffs, base, count)
+
+    def test_values_just_below_a_band_edge(self):
+        # a tiny distance below 1 holds a long run of base-1 digits; these
+        # lists spell values within 2 units of a band edge for every guard an
+        # err-2 rule tries, and only the exact floor certifies them
+        assert cfrac_digits([0, 1, 3 ** 90, 5], 2, 5).digits == (1,) * 5
+        assert cfrac_digits([0, 1, 10 ** 200, 3], 10, 30).digits == (9,) * 30
+        for coeffs, base, count in (([0, 1, 3 ** 90, 5], 2, 5), ([0, 1, 10 ** 200, 3], 10, 30)):
+            got = cfrac_digits(coeffs, base, count)
+            assert digits_to_int(got.digits, base) == cfrac_reference(coeffs, base, count)
 
     def test_interval_width_invariant(self):
         # digits from one depth must be a prefix of digits from much deeper
@@ -635,10 +651,12 @@ def held_ints(obj):
 
 
 class TestGrowingSources:
-    """A stream over a series constant extends one source: each refill
-    splits only its new terms and converts only its new digits."""
+    """A stream over a computed constant extends one source: each refill
+    splits only its new terms (or reads only its new continued-fraction
+    coefficients) and converts only its new digits."""
 
-    SERIES = (PI, ConstantSpec.e(), ConstantSpec.log2(), ConstantSpec.sqrt2())
+    SERIES = (PI, ConstantSpec.e(), ConstantSpec.log2(), ConstantSpec.sqrt2(),
+              ConstantSpec.fibonacci_cfrac())
 
     def test_pi_stream_costs_one_call(self, monkeypatch):
         counts = {"terms": 0, "digits": 0}
@@ -664,6 +682,36 @@ class TestGrowingSources:
         assert counts["terms"] <= one_call["terms"] + 16, (counts, one_call)
         assert counts["digits"] <= one_call["digits"] + 16, (counts, one_call)
 
+    def test_cfrac_stream_reads_as_many_coefficients_as_one_call(self, monkeypatch):
+        read = [0]
+        numbers = digits_module.fibonacci_numbers
+
+        def counted():
+            for f in numbers():
+                read[0] += 1
+                yield f
+
+        monkeypatch.setattr(digits_module, "fibonacci_numbers", counted)
+        spec, total, block = ConstantSpec.fibonacci_cfrac(), 102400, 4096
+        whole = digits_in_base(spec, 10, total).data
+        one_call, read[0] = read[0], 0
+        stream = open_stream(spec, 10, block)
+        stream.reserve(total)
+        assert b"".join(stream.next_block().data for _ in range(total // block)) == whole
+        # restarting from coefficient 0 on each refill reads about 2.8 times as many
+        assert read[0] <= one_call, (read[0], one_call)
+
+    def test_computed_does_not_branch_on_the_kind(self):
+        # every computed constant is a _SOURCES entry or a concatenation
+        # constant in a foreign base: _computed looks its source up
+        tree = ast.parse(inspect.getsource(digits_module._computed))
+        tests = [node.test for node in ast.walk(tree)
+                 if isinstance(node, (ast.If, ast.IfExp, ast.While))]
+        tests += [node for node in ast.walk(tree) if isinstance(node, ast.Compare)]
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "kind"
+                       for test in tests for node in ast.walk(test))
+        assert set(_SOURCES) == {"pi", "e", "sqrt2", "log2", "fibonacci-cfrac"}
+
     def test_e_stream_term_search_starts_from_the_last_count(self, monkeypatch):
         calls = []
         lgamma = math.lgamma
@@ -678,8 +726,9 @@ class TestGrowingSources:
 
     @pytest.mark.parametrize("spec", SERIES, ids=ConstantSpec.identifier)
     def test_held_state_stays_bounded(self, spec):
-        # the state is the split of one call at the largest prec, nothing more
-        bound = {"pi": 3, "e": 2, "log2": 3, "sqrt2": 1}[spec.kind]
+        # the state is the split (or the last two convergents) of one call
+        # at the largest prec, nothing more
+        bound = {"pi": 3, "e": 2, "log2": 3, "sqrt2": 1, "fibonacci-cfrac": 1}[spec.kind]
         for base in (2, 10, 256):
             source = _SOURCES[spec.kind](base)
             for count in (64, 1000, 2000, 4000, 8000, 16000):
@@ -1033,16 +1082,17 @@ class TestConcatScaledBound:
 
 
 class TestCertifier:
-    """X = 123 * 10**g + rem with err = 2, for three certified digits."""
+    """X = 123 * 10**g + rem with err = 2 unless a test gives another err,
+    for three certified digits."""
 
     @staticmethod
-    def certify(rem_of_band):
+    def certify(rem_of_band, err=2):
         calls = []
 
         def scaled(prec):
             g = prec - 3
             calls.append(g)
-            return 123 * 10 ** g + rem_of_band(10 ** g), 2
+            return 123 * 10 ** g + rem_of_band(10 ** g), err
 
         try:
             return _certify(scaled, 10, 3, 2, "test digits"), calls
@@ -1058,6 +1108,12 @@ class TestCertifier:
     def test_upper_end_of_band(self):
         assert self.certify(lambda band: band - 1 - 2) == (None, [2, 4, 8, 16])
         assert self.certify(lambda band: band - 1 - 3) == ((bytes([1, 2, 3]), 2), [2])
+
+    def test_exact_floor_certifies_at_either_end_of_band(self):
+        # err = 0: X is the floor of V, so X // band is the floor of V / band
+        assert self.certify(lambda band: 0, err=0) == ((bytes([1, 2, 3]), 2), [2])
+        assert self.certify(lambda band: band - 1, err=0) == ((bytes([1, 2, 3]), 2), [2])
+        assert self.certify(lambda band: 0, err=1) == (None, [2, 4, 8, 16])
 
     @pytest.mark.parametrize("guard, first", [(0, 3), (1, 3), (3, 3), (4, 4)])
     def test_guard_starts_where_a_band_can_certify(self, guard, first):
