@@ -657,8 +657,9 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
     coefficient below 1 past a0 once it is read; reading stops once the
     digits are fixed. An infinite list of positive coefficients spells an
     irrational, which no convergent equals, so the two floors agree after
-    finitely many coefficients and no cap on the count is needed; the
-    golden ratio at 3 * 10**6 digits needs about 1.4 * 10**7 of them.
+    finitely many coefficients and no cap on their count is needed. (The
+    golden ratio takes about 2.4 of them per decimal digit, so a cap of
+    10**7 would refuse it past about 4.2 * 10**6 digits.)
     """
     _check_base(base)
     if count < 1:

@@ -252,7 +252,6 @@ class TestBaseConvert:
 
     @pytest.mark.parametrize("guard", [-1, -4])
     def test_rejects_a_negative_guard(self, guard):
-        # -4 made 10**guard a float, -1 a misleading PrecisionExhausted
         with pytest.raises(ValueError, match="guard must be >= 0"):
             base_convert(decimal_digits(PI, 40), 11, 6, guard=guard)
 
@@ -420,14 +419,11 @@ class TestContinuedFractions:
                 (coeffs, base, count)
 
     def test_values_just_below_a_band_edge(self):
-        # a tiny distance below 1 holds a long run of base-1 digits; these
-        # lists spell values within 2 units of a band edge for every guard an
-        # err-2 rule tries, and only the exact floor certifies them
+        # just below 1, the digits are a long run of base - 1: within 2 units
+        # of a band edge at every guard an err-2 rule tries, so only an
+        # exact floor certifies them
         assert cfrac_digits([0, 1, 3 ** 90, 5], 2, 5).digits == (1,) * 5
         assert cfrac_digits([0, 1, 10 ** 200, 3], 10, 30).digits == (9,) * 30
-        for coeffs, base, count in (([0, 1, 3 ** 90, 5], 2, 5), ([0, 1, 10 ** 200, 3], 10, 30)):
-            got = cfrac_digits(coeffs, base, count)
-            assert digits_to_int(got.digits, base) == cfrac_reference(coeffs, base, count)
 
     def test_interval_width_invariant(self):
         # digits from one depth must be a prefix of digits from much deeper
@@ -698,7 +694,7 @@ class TestGrowingSources:
         stream = open_stream(spec, 10, block)
         stream.reserve(total)
         assert b"".join(stream.next_block().data for _ in range(total // block)) == whole
-        # restarting from coefficient 0 on each refill reads about 2.8 times as many
+        # the convergents carry over, so no refill reads a coefficient again
         assert read[0] <= one_call, (read[0], one_call)
 
     def test_computed_does_not_branch_on_the_kind(self):
