@@ -577,63 +577,83 @@ def _decimal_bytes(numbers) -> bytes:
     return "".join(map(str, numbers)).encode("ascii").translate(_ASCII_DIGITS)
 
 
-def _champernowne_chunks(base: int) -> Iterator[bytes]:
-    # numbers n..stop-1 all have `width` digits; each row of the quotient
-    # table is one number's digits, most significant first
-    n, width, top = 1, 1, base
-    while True:
-        stop = min(n + _CHUNK, top)
-        values = np.arange(n, stop, dtype=np.int64)[:, None]
-        powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        table = values // powers
+def _rational_source(p: int, q: int, base: int):
+    """read(count, done): the _CHUNK digits of frac(|p/q|) from done+1, one
+    division each; nothing carries over from one read to the next.
+
+    Digits done+1..done+C of frac(x) are, read as one integer, the floor of
+    frac(x base**done) base**C. For x = |p|/q, frac(x base**done) = r/q with
+    r = |p| base**done mod q, one pow, so they are floor(r base**C / q), and
+    r < q keeps that below base**C: exactly C digits, zero padded."""
+    p, scale = abs(p), mpz(base) ** _CHUNK
+
+    def read(count: int, done: int) -> bytes:
+        r = p * pow(base, done, q) % q
+        return int_to_digits(_arith.divmod(r * scale, q)[0], base, _CHUNK)
+    return read
+
+
+def _champernowne_source(base: int):
+    """read(count, done): Champernowne's constant in `base` (Champernowne
+    1933, the numerals 1, 2, 3, ... concatenated) from digit done+1 to the
+    end of its chunk of at most _CHUNK numbers of one width.
+
+    There are (base - 1) base**(w - 1) numbers of w digits, so the width, the
+    number and the offset that hold digit done+1 follow from those counts,
+    and a read seeks without generating the digits before it. Sequential
+    reads start on number boundaries; only a jump starts mid-number. Each
+    row of the numpy quotient table is one number's digits, most significant
+    first, so a number must fit in int64: positions past the digits of
+    1 .. 2**63 - 1 raise UnsupportedConstant."""
+    # the digits of 1 .. 2**63 - 1; w-digit numbers run from base**(w - 1) to base**w - 1
+    limit = sum((min(base ** w, 2 ** 63) - base ** (w - 1)) * w
+                for w in range(1, 64) if base ** (w - 1) < 2 ** 63)
+
+    def read(count: int, done: int) -> bytes:
+        if done >= limit:
+            raise UnsupportedConstant(f"champernowne{base} is generated up to position {limit}")
+        lo, width, before = 1, 1, 0  # the first number of a width, the width, the digits before lo
+        while before + lo * (base - 1) * width <= done:
+            before, lo, width = before + lo * (base - 1) * width, lo * base, width + 1
+        n, offset = divmod(done - before, width)
+        values = np.arange(lo + n, min(lo + n + _CHUNK, lo * base, 2 ** 63), dtype=np.int64)
+        table = values[:, None] // base ** np.arange(width - 1, -1, -1, dtype=np.int64)
         table %= base  # in place: one table-sized temporary, not two
-        yield table.astype(np.uint8).tobytes()
-        n = stop
-        if n == top:
-            width, top = width + 1, top * base
+        return table.astype(np.uint8).tobytes()[offset:]
+    return read
 
 
 def _concat_chunks(spec: ConstantSpec) -> Iterator[bytes]:
-    """Digits of a concatenation constant in its native base, in chunks."""
-    if spec.kind == CHAMPERNOWNE:
-        yield from _champernowne_chunks(spec.base)
-    elif spec.kind == COPELAND_ERDOS:
+    """Digits of Copeland-Erdős or the Fibonacci concatenation in base 10, in chunks."""
+    if spec.kind == COPELAND_ERDOS:
         found = primes()
         while True:
             yield _decimal_bytes(islice(found, _CHUNK))
-    elif spec.kind == FIBONACCI_CONCAT:
-        for f in fibonacci_numbers():
-            if f.bit_length() < 12000:  # str() refuses ints past 4300 digits
-                yield _decimal_bytes((f,))
-            else:
-                width = int(f.bit_length() * math.log10(2)) + 1
-                while mpz(10) ** width <= f:
-                    width += 1
-                yield int_to_digits(f, 10, width).lstrip(b"\0")
+    for f in fibonacci_numbers():
+        if f.bit_length() < 12000:  # str() refuses ints past 4300 digits
+            yield _decimal_bytes((f,))
+        else:
+            width = int(f.bit_length() * math.log10(2)) + 1
+            while mpz(10) ** width <= f:
+                width += 1
+            yield int_to_digits(f, 10, width).lstrip(b"\0")
 
 
-def _rational_chunks(p: int, q: int, base: int, skip: int = 0) -> Iterator[bytes]:
-    """Long-division digits of frac(|p/q|) past the first `skip`, _CHUNK at
-    a time; the remainder carries over from one chunk to the next. The
-    remainder after digit j is |p| * base**j mod q, so one pow skips."""
-    r = abs(p) * pow(base, skip, q) % q
-    while True:
-        chunk = bytearray()
-        for _ in range(_CHUNK):
-            r *= base
-            d, r = divmod(r, q)
-            chunk.append(d)
-        yield bytes(chunk)
+def _dropping_source(chunks: Iterator[bytes]):
+    """read(count, done) over a chunk generator: the digits from done+1 to the
+    end of the chunk that holds it; chunks that end before it are generated
+    and dropped. Copeland-Erdős (1946) and the Fibonacci concatenation read
+    this way because they cannot seek: where digit k falls depends on the
+    digit counts of every earlier prime or Fibonacci number."""
+    end = 0  # the digits generated so far
 
-
-def _exact_chunks(spec: ConstantSpec, base: int) -> Iterator[bytes] | None:
-    """The digits of `spec` in `base` generated exactly, in chunks, or None
-    when they can only be certified from a scaled value."""
-    if spec.kind == RATIONAL:
-        return _rational_chunks(spec.p, spec.q, base)
-    if base == spec.native_base():
-        return _concat_chunks(spec)
-    return None
+    def read(count: int, done: int) -> bytes:
+        nonlocal end
+        for chunk in chunks:
+            end += len(chunk)
+            if end > done:
+                return chunk[len(chunk) - (end - done):]
+    return read
 
 
 def concat_constant_digits(spec: ConstantSpec, count: int) -> DigitBlock:
@@ -767,6 +787,26 @@ def _computed(constant: ConstantSpec, base: int, guard: int):
     return lambda count, done: _certify(scaled, base, count, guard, f"{count} {what}", done)[0]
 
 
+def _source(spec: ConstantSpec, base: int, guard: int):
+    """The digit source of `spec` in `base`, and the one dispatch on the kind.
+
+    A source is read(count, done) -> bytes: the digits from position done+1,
+    at least one of them. A computed source (_computed) returns them through
+    `count`; an exact source returns them to the end of its own chunk. `done`
+    never goes below the end of the last read, so a source that cannot seek
+    drops what it generated before it. A rational and Champernowne in its own
+    base seek; Copeland-Erdős and the Fibonacci concatenation in base 10
+    generate and drop; any other constant in any other base is certified
+    from a scaled value."""
+    if spec.kind == RATIONAL:
+        return _rational_source(spec.p, spec.q, base)
+    if base != spec.native_base():
+        return _computed(spec, base, guard)
+    if spec.kind == CHAMPERNOWNE:
+        return _champernowne_source(base)
+    return _dropping_source(_concat_chunks(spec))
+
+
 def digits_in_base(constant: ConstantSpec, base: int, count: int,
                    guard: int = DEFAULT_GUARD) -> DigitBlock:
     """First `count` fractional digits of `constant` in `base`, position exact:
@@ -794,13 +834,17 @@ class DigitStream:
     reader of digit sources: `digits_in_base` is one reserved read.
 
     Two independent streams over the same (constant, base) produce identical
-    digit prefixes. Exact sources are generated chunk by chunk; any other
-    constant keeps one source, which each refill extends geometrically, up to
-    what reserve() says will be read, converting only the new digits. A read
-    copies each digit once, but returns a read of one whole chunk (such as a
-    reserved series read) as it is. Only the unread tail of the last chunk is
-    kept, and a chunk that ends before the cursor is dropped. After a skip
-    past every generated digit, a rational restarts its long division there.
+    digit prefixes. Every constant has one position-addressed source (see
+    _source), read from the position after the last digit the stream holds,
+    or from the cursor after a skip past them, so a skip generates nothing it
+    passes unless the source cannot seek. Each read asks for digits up to
+    twice the end of the last read (at least what the read needs, at most
+    what reserve() says will be read): a computed source returns exactly
+    those, converting only the new digits; an exact source returns its next
+    chunk.
+    A read copies each digit once, but returns a read of one whole chunk
+    (such as a reserved series read) as it is. Only the unread tail of the
+    last chunk is kept.
     """
 
     def __init__(self, source: ConstantSpec, base: int, block_size: int):
@@ -813,37 +857,19 @@ class DigitStream:
         self.cursor = 1
         self._tail = memoryview(b"")  # the unread end of the last chunk
         self._end = 1                 # the position after it
-        self._need = 0                # last position the current read needs
         self._horizon = math.inf      # see reserve()
         self._guard = DEFAULT_GUARD   # digits_in_base passes its own
-        self._chunks = _exact_chunks(source, base)  # None: _refill computes them
-        self._digits, self._done = None, 0  # the computed source, digits it made
-
-    def _refill(self) -> bytes:
-        """The next chunk of a constant without an exact source: it extends
-        the digits to twice the last target (at least the current need, at
-        most the horizon) and returns those past the last target. The source
-        is made at the first refill, so it takes the guard digits_in_base sets."""
-        self._digits = self._digits or _computed(self.source, self.base, self._guard)
-        read = self._need + 1 - self.cursor
-        grow = min(max(2 * self._done, 4 * min(self.block_size, read), 64), self._horizon)
-        target = max(self._need, grow)
-        chunk = self._digits(target, self._done)
-        self._done = target
-        return chunk
+        self._digits = None  # the source, made at the first read so that it takes that guard
 
     def _read(self, count: int) -> bytes:
         """The `count` digits from the cursor; advances the cursor past them."""
         if count < 0:
             raise ValueError("count must be >= 0")
         start, stop = self.cursor, self.cursor + count
-        self._need = stop - 1
         # view holds positions end - len(view) .. end - 1; only it holds the
         # last chunk, so that the chunk is freed before the next one is made
         view, end, self._tail = self._tail, self._end, None
-        if start > end and self.source.kind == RATIONAL:
-            # a jump: restart the long division at the cursor
-            self._chunks = _rational_chunks(self.source.p, self.source.q, self.base, start - 1)
+        if start > end:  # a jump: the source reads from the cursor
             view, end = memoryview(b""), start
         out = io.BytesIO()
         while True:
@@ -853,7 +879,11 @@ class DigitStream:
                 break
             out.write(piece)
             del view, piece
-            view = memoryview(next(self._chunks) if self._chunks else self._refill())
+            self._digits = self._digits or _source(self.source, self.base, self._guard)
+            # twice the last target, the end of the last read (self._end is
+            # not moved by a jump), but at least this read and at most the horizon
+            grow = min(max(2 * self._end - 2, 4 * min(self.block_size, count), 64), self._horizon)
+            view = memoryview(self._digits(max(stop - 1, grow), end - 1))
             end += len(view)
         self._tail, self._end, self.cursor = view[len(view) - (end - stop):], end, stop
         if not out.tell() and len(piece) == len(piece.obj):  # one whole chunk: no copy

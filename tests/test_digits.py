@@ -82,6 +82,20 @@ def rational_digits_oracle(p: int, q: int, base: int, count: int) -> list[int]:
     return out
 
 
+def champernowne_oracle(base: int, first: int, count: int) -> bytes:
+    """Digits first..first+count-1 of Champernowne's constant in `base`: the
+    widths are counted ((base - 1) base**(w - 1) numbers of w digits), then
+    the number that holds each digit is divided out."""
+    out = []
+    for k in range(first, first + count):
+        lo, width, before = 1, 1, 0  # a width's first number, the width, the digits before it
+        while before + lo * (base - 1) * width < k:
+            before, lo, width = before + lo * (base - 1) * width, lo * base, width + 1
+        number, offset = divmod(k - 1 - before, width)
+        out.append((lo + number) // base ** (width - 1 - offset) % base)
+    return bytes(out)
+
+
 class TestConstantSpec:
     def test_parse_roundtrip(self):
         for text in ("pi", "sqrt2", "log2", "e", "rational:22/7",
@@ -486,11 +500,12 @@ class TestStreams:
 
     @pytest.mark.parametrize("skip", (0, 1, 4095, 4096, 4097, 10 ** 6))
     def test_skip_reads_what_an_unskipped_stream_reads(self, skip):
-        # a rational restarts its long division at the cursor, and a chunk
-        # that ends before the cursor is dropped; either with or without
-        # digits already buffered behind the cursor
+        # a rational or a Champernowne source reads from the cursor, other
+        # sources drop the chunks that end before it; either with or
+        # without digits already buffered behind the cursor
         sources = [(ConstantSpec.rational(12345, 99991), 10), (ConstantSpec.rational(-22, 7), 256),
-                   (ConstantSpec.champernowne(10), 10), (ConstantSpec.champernowne(3), 3)]
+                   (ConstantSpec.champernowne(10), 10), (ConstantSpec.champernowne(3), 3),
+                   (ConstantSpec.champernowne(256), 256), (ConstantSpec.fibonacci_concat(), 10)]
         if skip < 10 ** 6:
             sources += [(PI, 10), (ConstantSpec.copeland_erdos(), 10)]
         for spec, base in sources:
@@ -510,6 +525,76 @@ class TestStreams:
             stream.skip(10 ** 18)
             offset = 10 ** 18 % len(period)
             assert stream.take(12).data == (period * 12)[offset:offset + 12]
+
+    @pytest.mark.parametrize("base", (2, 3, 10, 16, 256))
+    def test_champernowne_seeks_across_every_width_boundary(self, base):
+        # the 20 digits from the last one of each width on, for every width
+        # that starts within 10**15 digits: a source that generated the
+        # digits before them would not finish
+        # the first number of width 2, its width and the digits before it
+        lo, width, before = base, 2, base - 1
+        while before < 10 ** 15:
+            stream = open_stream(ConstantSpec.champernowne(base), base, 64)
+            stream.skip(before - 1)
+            want = champernowne_oracle(base, before, 20)
+            assert stream.take(20) == DigitBlock(base, before, want), before
+            before, lo, width = before + lo * (base - 1) * width, lo * base, width + 1
+
+    def test_champernowne_stops_at_the_int64_limit(self):
+        # numbers are int64 rows of a numpy table: the last digit of
+        # 2**63 - 1 reads, the next position raises
+        lo, width, before = 1, 1, 0
+        while lo * 256 < 2 ** 63:
+            before, lo, width = before + lo * 255 * width, lo * 256, width + 1
+        limit = before + (2 ** 63 - lo) * width
+        stream = open_stream(ConstantSpec.champernowne(256), 256, 64)
+        stream.skip(limit - 20)
+        last = stream.take(20).data
+        assert last == champernowne_oracle(256, limit - 19, 20)
+        assert last[-8:] == b"\x7f" + b"\xff" * 7  # 2**63 - 1
+        with pytest.raises(UnsupportedConstant, match=str(limit)):
+            stream.take(1)
+        stream = open_stream(ConstantSpec.champernowne(256), 256)
+        stream.skip(10 ** 20)
+        with pytest.raises(UnsupportedConstant, match=str(limit)):
+            stream.next_block()
+
+    @pytest.mark.parametrize("base", (2, 11, 256))
+    def test_rational_chunks_match_long_division(self, base):
+        # a chunk is one division, floor(r base**4096 / q) with r = |p|
+        # base**done mod q; long division reads the same digits across chunk
+        # edges, from digit 1 or, past 10**18, from the remainder there
+        for p, q in ((10 ** 199 + 12345, 10 ** 200 + 7), (-22, 7), (5, 1)):
+            for jump in (0, 4095, 4096, 10 ** 18):
+                stream = open_stream(ConstantSpec.rational(p, q), base, 64)
+                stream.skip(jump)
+                start = jump if jump == 10 ** 18 else 0
+                r, want = abs(p) * pow(base, start, q) % q, bytearray()
+                for _ in range(jump - start + 4200):
+                    d, r = divmod(r * base, q)
+                    want.append(d)
+                assert stream.take(4200).data == want[jump - start:], (p, q, jump)
+
+    def test_a_computed_skip_converts_only_what_it_returns(self, monkeypatch):
+        # the source certifies the target from the cursor on, not the
+        # skipped digits before it
+        converted, targets = [], []
+        to_digits, real = digits_module.int_to_digits, digits_module._computed
+
+        def recording(*args):
+            digits = real(*args)
+            return lambda count, done: targets.append(count) or digits(count, done)
+
+        monkeypatch.setattr(digits_module, "int_to_digits",
+                            lambda value, base, count: converted.append(count)
+                            or to_digits(value, base, count))
+        monkeypatch.setattr(digits_module, "_computed", recording)
+        stream = open_stream(PI, 10, 64)
+        stream.skip(5000)
+        block = stream.take(10)
+        assert targets == [5010] and sum(converted) <= targets[-1] - 5000, converted
+        monkeypatch.undo()
+        assert block == DigitBlock(10, 5001, digits_in_base(PI, 10, 5010).data[5000:])
 
     def test_skipped_chunks_are_not_buffered(self):
         stream = open_stream(ConstantSpec.champernowne(10), 10, 4096)
@@ -614,17 +699,32 @@ class TestStreams:
             gc.enable()
 
     def test_only_the_stream_reads_digit_sources(self):
-        # one digit path: every call of a source constructor sits in a
-        # DigitStream method, so digits_in_base cannot grow a second one
+        # one digit path: every _source call sits in a DigitStream method, so
+        # digits_in_base cannot grow a second one; every source constructor
+        # is called only from _source, the one dispatch on the kind, and the
+        # stream never looks at the kind
         tree = ast.parse(inspect.getsource(digits_module))
-        stream = next(node for node in tree.body
-                      if isinstance(node, ast.ClassDef) and node.name == "DigitStream")
-        inside = {id(node) for node in ast.walk(stream)}
-        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                 and isinstance(node.func, ast.Name)
-                 and node.func.id in ("_exact_chunks", "_computed")]
-        assert {call.func.id for call in calls} == {"_exact_chunks", "_computed"}
-        assert all(id(call) in inside for call in calls)
+
+        def top(name):
+            return next(node for node in tree.body
+                        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name)
+
+        def calls(names):
+            return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id in names]
+
+        stream = top("DigitStream")
+        in_stream = {id(node) for node in ast.walk(stream)}
+        in_source = {id(node) for node in ast.walk(top("_source"))}
+        reads = calls({"_source"})
+        assert reads and all(id(call) in in_stream for call in reads)
+        constructors = {"_computed", "_rational_source", "_champernowne_source",
+                        "_dropping_source"}
+        made = calls(constructors)
+        assert {call.func.id for call in made} == constructors
+        assert all(id(call) in in_source for call in made)
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "kind"
+                       for node in ast.walk(stream))
 
     def test_determinism_across_streams(self):
         for spec in (PI, ConstantSpec.champernowne(10), ConstantSpec.fibonacci_cfrac()):
