@@ -530,8 +530,8 @@ class TestStreams:
     def test_champernowne_seeks_across_every_width_boundary(self, base):
         # the 20 digits from the last one of each width on, for every width
         # that starts within 10**15 digits: a source that generated the
-        # digits before them would not finish
-        # the first number of width 2, its width and the digits before it
+        # digits before them would not finish; lo is the first number of a
+        # width and before the digits before it
         lo, width, before = base, 2, base - 1
         while before < 10 ** 15:
             stream = open_stream(ConstantSpec.champernowne(base), base, 64)
