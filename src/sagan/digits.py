@@ -691,25 +691,17 @@ def cfrac_digits(coefficients: Iterable[int], base: int, count: int) -> DigitBlo
 # ---------------------------------------------------------------------------
 # base conversion
 
-def _ceil_digits_needed(out_count: int, target_base: int, source_base: int) -> int:
-    """Smallest D with source_base**D >= target_base**out_count, exactly."""
-    estimate = int(out_count * math.log(target_base) / math.log(source_base)) + 1
-    t = mpz(target_base) ** out_count
-    d = estimate
-    while mpz(source_base) ** d < t:
-        d += 1
-    while d > 1 and mpz(source_base) ** (d - 1) >= t:
-        d -= 1
-    return d
-
-
-def _convert_run(src_digits: Sequence[int], src_base: int, used: int,
-                 dst_base: int, out_count: int, upper: bool = False) -> bytes:
-    """out_count dst_base digits of the fraction src_digits[:used]; with
-    `upper`, of the largest value below it plus one unit in its last place."""
-    x = digits_to_int(src_digits[:used], src_base) + upper
-    y = _arith.divmod(mul(x, mpz(dst_base) ** out_count) - upper, mpz(src_base) ** used)[0]
-    return int_to_digits(y, dst_base, out_count)
+def _prefix_powers(count: int, base: int, src: int):
+    """(need, B, S): B = base**count and S = src**need for the least need with
+    S >= B, so that `need` source digits bound `count` target digits. From a
+    float estimate, S is corrected up and down exactly, each power built once."""
+    need = int(count * math.log(base) / math.log(src)) + 1
+    big, scale = mpz(base) ** count, mpz(src) ** need
+    while scale < big:
+        need, scale = need + 1, scale * src
+    while need > 1 and scale // src >= big:
+        need, scale = need - 1, scale // src
+    return need, big, scale
 
 
 def base_convert(decimal_fraction, target_base: int, out_count: int,
@@ -719,11 +711,10 @@ def base_convert(decimal_fraction, target_base: int, out_count: int,
     Returns the digits of the value that the first need + guard input digits
     represent, need = ceil(out_count * log10(target_base)), once they agree
     with a run over need + 2*guard digits. With that many digits supplied the
-    second run reads them; with fewer, it checks both ends of the interval
-    that every continuation of the supplied digits lies in, so the check
-    never repeats the first run. Disagreement raises PrecisionExhausted
-    instead of returning unstable digits. With guard 0 nothing past the
-    first need digits is checked.
+    check reads them; with fewer, it checks every value that the supplied
+    digits can be a prefix of. Disagreement raises PrecisionExhausted instead
+    of returning unstable digits. With guard 0 nothing past the first need
+    digits is checked.
     """
     _check_base(target_base)
     if out_count < 1:
@@ -738,19 +729,27 @@ def base_convert(decimal_fraction, target_base: int, out_count: int,
         src = decimal_fraction.data
     else:
         src = DigitBlock(10, 1, decimal_fraction).data
-    need = _ceil_digits_needed(out_count, target_base, 10)
+    need, big, scale = _prefix_powers(out_count, target_base, 10)
     if len(src) < need + guard:
         raise InsufficientInputDigits(
             f"need at least {need + guard} decimal digits, got {len(src)}")
-    first = _convert_run(src, 10, need + guard, target_base, out_count)
+    # x is the first `used` digits as an integer and x // 10**k, k = used -
+    # need - guard, the first need + guard, so the answer is first =
+    # floor((x // 10**k) B / 10**(need + guard)). Floors rise with the value,
+    # and every continuation of the supplied digits lies in [x, x + 1) / 10**used, so
+    #     first <= floor(x B / 10**used) <= floor(((x + 1) B - 1) / 10**used),
+    # the last two being the least and the greatest floor over that interval.
+    # With need + 2*guard digits supplied the check is the middle term, what
+    # they say; with fewer it is the last, which equals first only if all
+    # three agree, so that one comparison covers every continuation.
     used = min(len(src), need + 2 * guard)
-    checks = [_convert_run(src, 10, used, target_base, out_count)]
-    if used < need + 2 * guard:
-        checks.append(_convert_run(src, 10, used, target_base, out_count, upper=True))
-    if any(c != first for c in checks):
+    short = used < need + 2 * guard
+    x = digits_to_int(src[:used], 10)
+    first = _arith.divmod(mul(x // 10 ** (used - need - guard), big), scale * 10 ** guard)[0]
+    if first != _arith.divmod(mul(x + short, big) - short, scale * 10 ** (used - need))[0]:
         raise PrecisionExhausted(
             "base conversion unstable under guard doubling; supply more digits")
-    return DigitBlock(target_base, 1, first)
+    return DigitBlock(target_base, 1, int_to_digits(first, target_base, out_count))
 
 
 def _concat_scaled(spec: ConstantSpec, base: int):
@@ -765,9 +764,9 @@ def _concat_scaled(spec: ConstantSpec, base: int):
     src = spec.native_base()
 
     def scaled(prec: int):
-        need = _ceil_digits_needed(prec, base, src)
+        need, big, scale = _prefix_powers(prec, base, src)
         x = digits_to_int(digits_in_base(spec, src, need).data, src)
-        return _arith.divmod(mul(x, mpz(base) ** prec), mpz(src) ** need)[0], 2
+        return _arith.divmod(mul(x, big), scale)[0], 2
 
     return scaled
 
@@ -844,7 +843,8 @@ class DigitStream:
     chunk.
     A read copies each digit once, but returns a read of one whole chunk
     (such as a reserved series read) as it is. Only the unread tail of the
-    last chunk is kept.
+    last chunk is kept. A read that raises keeps the digits it got before the
+    source raised, so the next read raises again or returns them.
     """
 
     def __init__(self, source: ConstantSpec, base: int, block_size: int):
@@ -883,7 +883,13 @@ class DigitStream:
             # twice the last target, the end of the last read (self._end is
             # not moved by a jump), but at least this read and at most the horizon
             grow = min(max(2 * self._end - 2, 4 * min(self.block_size, count), 64), self._horizon)
-            view = memoryview(self._digits(max(stop - 1, grow), end - 1))
+            try:
+                view = memoryview(self._digits(max(stop - 1, grow), end - 1))
+            except BaseException:  # keep the digits read, start..end - 1, as the tail;
+                # a jump that read nothing leaves the end where it was
+                self._tail = memoryview(out.getvalue())
+                self._end = end if out.tell() else self._end
+                raise
             end += len(view)
         self._tail, self._end, self.cursor = view[len(view) - (end - stop):], end, stop
         if not out.tell() and len(piece) == len(piece.obj):  # one whole chunk: no copy

@@ -30,7 +30,7 @@ from sagan.digits import (
 from sagan import _arith, bbp
 from sagan import digits as digits_module
 from sagan.digits import (DEFAULT_GUARD, _SOURCES, _certify, _computed, _concat_scaled,
-                          _linear_sum, _quotient, _root, _series, _split)
+                          _linear_sum, _prefix_powers, _quotient, _root, _series, _split)
 from sagan.errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -274,6 +274,83 @@ class TestBaseConvert:
             base_convert(digits_in_base(PI, 16, 30), 2, 4)
         with pytest.raises(InvalidDigit):
             base_convert([1, 11, 3], 2, 1, guard=0)
+
+    def test_prefix_powers_is_the_least_bracket(self):
+        for base in (2, 3, 10, 11, 100, 255, 256):
+            for src in (2, 3, 10, 256):
+                for count in [*range(1, 60), 1000, 4097]:
+                    need, big, scale = _prefix_powers(count, base, src)
+                    assert big == base ** count and scale == src ** need
+                    assert scale // src < big <= scale, (count, base, src)
+
+    def test_one_prefix_integer_and_one_radix_conversion(self, monkeypatch):
+        # the answer and its check come from one integer of the supplied
+        # digits, and only the answer is turned into digits, whether the
+        # input is short (both ends of its interval checked) or ample
+        need = 7  # ceil(6 * log10(11))
+        inputs = [decimal_digits(PI, need + DEFAULT_GUARD + extra) for extra in (0, 5, 12, 40)]
+        calls = []
+
+        def spy(name):
+            real = getattr(digits_module, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("digits_to_int", "int_to_digits"):
+            monkeypatch.setattr(digits_module, name, spy(name))
+        for src in inputs:
+            calls.clear()
+            assert base_convert(src, 11, 6).digits == (1, 6, 1, 5, 0, 7)
+            assert sorted(calls) == ["digits_to_int", "int_to_digits"], len(src)
+
+    @staticmethod
+    def documented_rule(digits: bytes, base: int, count: int, guard: int):
+        """base_convert's documented result in exact rationals: the digits of
+        the first need + guard input digits' value, if every value that
+        the need + 2*guard digits (all of them, if fewer are supplied) can
+        stand for floors alike; else the exception type."""
+        need, big = 0, base ** count
+        while 10 ** need < big:
+            need += 1
+        if len(digits) < need + guard:
+            return InsufficientInputDigits
+
+        def value(n):
+            return Fraction(int("".join(map(str, digits[:n])) or "0"), 10 ** n)
+
+        first = math.floor(value(need + guard) * big)
+        used = min(len(digits), need + 2 * guard)
+        floors = {math.floor(value(used) * big)}
+        if used < need + 2 * guard:  # the greatest value below the interval's top
+            floors.add(math.ceil((value(used) + Fraction(1, 10 ** used)) * big) - 1)
+        if floors != {first}:
+            return PrecisionExhausted
+        return bytes(rational_digits_oracle(first, big, base, count))
+
+    def test_matches_the_documented_rule(self):
+        rng = random.Random(28)
+        cases = [(b"\3" * n, 3, 1, guard) for guard in range(4) for n in range(1, 8)]
+        for _ in range(400):
+            base = rng.choice((2, 3, 7, 10, 11, 16, rng.randint(2, 256)))
+            count, guard = rng.randint(1, 6), rng.randint(0, 3)
+            need = math.ceil(count * math.log10(base) - 1e-9)
+            length = rng.randint(max(1, need + guard - 1), need + 2 * guard + 2)
+            if rng.random() < 0.5:
+                cases.append((bytes(rng.randrange(10) for _ in range(length)), base, count, guard))
+                continue
+            # both sides of a target-digit boundary m / base**count
+            edge = rng.randrange(1, base ** count) * 10 ** length // base ** count
+            for x in {max(0, edge - 1), edge, min(edge + 1, 10 ** length - 1)}:
+                cases.append((bytes(map(int, str(x).zfill(length))), base, count, guard))
+        outcomes = set()
+        for digits, base, count, guard in cases:
+            want = self.documented_rule(digits, base, count, guard)
+            try:
+                got = base_convert(digits, base, count, guard).data
+            except (InsufficientInputDigits, PrecisionExhausted) as exc:
+                got = type(exc)
+            assert got == want, (digits, base, count, guard)
+            outcomes.add(want if isinstance(want, type) else bytes)
+        assert outcomes == {bytes, InsufficientInputDigits, PrecisionExhausted}
 
     def test_agrees_with_native_base_generation(self):
         rng = random.Random(99)
@@ -558,6 +635,52 @@ class TestStreams:
         stream.skip(10 ** 20)
         with pytest.raises(UnsupportedConstant, match=str(limit)):
             stream.next_block()
+
+    def test_a_read_that_raises_keeps_the_stream_readable(self):
+        # a read that raises keeps the digits it got as the tail: the next
+        # read raises again, or returns them as a fresh stream would
+        limit = 73714636122000129791  # the position of the last digit of 2**63 - 1
+        spec = ConstantSpec.champernowne(256)
+        stream = open_stream(spec, 256, 64)
+        stream.skip(limit - 20)
+        stream.take(20)
+        for _ in range(2):
+            with pytest.raises(UnsupportedConstant):
+                stream.take(1)
+        stream = open_stream(spec, 256, 64)
+        stream.skip(limit - 40)
+        stream.take(15)  # reads to the limit: limit - 24 .. limit stay as the tail
+        with pytest.raises(UnsupportedConstant):
+            stream.take(30)
+        fresh = open_stream(spec, 256, 64)
+        fresh.skip(limit - 25)
+        assert stream.take(25) == fresh.take(25)
+
+    def test_a_failed_jump_is_retried_as_it_was_asked(self, monkeypatch):
+        # a jump that read nothing leaves the stream's end where it was, so
+        # a retry asks the source for what the failed read asked
+        real, requests, failing = digits_module._source, [], []
+
+        def source(spec, base, guard):
+            read = real(spec, base, guard)
+
+            def spied(count, done):
+                requests.append((count, done))
+                if failing:
+                    raise failing.pop()
+                return read(count, done)
+            return spied
+
+        monkeypatch.setattr(digits_module, "_source", source)
+        stream = open_stream(PI, 10, 16)
+        stream.take(16)
+        stream.skip(5000)
+        failing.append(PrecisionExhausted("injected"))
+        with pytest.raises(PrecisionExhausted):
+            stream.take(10)
+        block = stream.take(10)
+        assert len(requests) == 3 and requests[1] == requests[2]
+        assert block.digits == decimal_digits(PI, 5026).digits[-10:]
 
     @pytest.mark.parametrize("base", (2, 11, 256))
     def test_rational_chunks_match_long_division(self, base):
