@@ -16,8 +16,8 @@ included, is the same byte for byte. Sections:
                   guards 0..12
 
 Stdlib and sagan only; the inputs are fixed by seeds, so the output depends
-only on the tree. The run time goes to stderr (about 40 s on a 2-vCPU x86
-VM with CPython 3.11 and no gmpy2).
+only on the tree. The run time goes to stderr (about 3 s on a 2-vCPU x86
+VM with CPython 3.11.7 and no gmpy2).
 """
 
 from __future__ import annotations
