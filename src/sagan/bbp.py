@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digits import DEFAULT_GUARD, DigitBlock, _certify, _linear_sum
+from .digits import _CERTIFY_TRIES, DEFAULT_GUARD, DigitBlock, _certify, _linear_sum
 from .errors import CarryAmbiguity, PrecisionExhausted
 
 
@@ -159,7 +159,8 @@ def digit_extract(formula: BBPFormula, position: int, count: int) -> DigitBlock:
     """Digits at `position`..`position+count-1` without earlier digits.
 
     count is capped at 8 per call; extract_digits takes any width.
-    Retries at 128, 256 and 512 guard bits before raising CarryAmbiguity.
+    Starts at 64 guard bits and doubles them on each retry, _CERTIFY_TRIES
+    tries in all, before raising CarryAmbiguity.
     """
     if not 1 <= count <= 8:
         raise ValueError("count must be in 1..8")
@@ -178,7 +179,7 @@ def digit_extract_info(formula: BBPFormula, position: int, count: int):
         raise ValueError(f"position must be at most 2**63 + shift = {2**63 + formula.shift}")
     base = formula.base
     bits = max(1, (base - 1).bit_length())
-    guard = -(-64 // bits)  # in digits; _certify doubles it on each of three retries
+    guard = -(-64 // bits)  # in digits; _certify doubles it on each retry
 
     def scaled(prec: int):
         acc, err = _scaled_fraction(formula, position, prec * bits)
@@ -188,7 +189,7 @@ def digit_extract_info(formula: BBPFormula, position: int, count: int):
         digits, g = _certify(scaled, base, count, guard, f"{count} digits at {position}")
     except PrecisionExhausted:
         raise CarryAmbiguity(f"carry not resolved at position {position} after "
-                             f"{8 * guard * bits} guard bits") from None
+                             f"{guard * bits << (_CERTIFY_TRIES - 1)} guard bits") from None
     return DigitBlock(base, position, digits), g * bits
 
 

@@ -102,14 +102,18 @@ def write_cache(path: str | os.PathLike, base: int, identifier: str, digits) -> 
         raise CacheError(f"cannot write cache file {path}: {exc}") from exc
 
 
-def _read(path: str | os.PathLike) -> bytes:
+def read_cache(path: str | os.PathLike, base: int, identifier: str) -> bytes:
+    """The digits of the SGND file at `path` as bytes, one byte per digit, or
+    b"" when no file is there. CacheError when the file cannot be read, fails
+    decode(), or holds another constant or base."""
+    path = Path(path)
+    if not path.exists():
+        return b""
     try:
-        return Path(path).read_bytes()
+        blob = path.read_bytes()
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-
-
-def read_cache(path: str | os.PathLike) -> tuple[int, str, list[int]]:
-    """decode() of the file at `path`, the digits as a list of ints."""
-    base, identifier, payload = decode(_read(path))
-    return base, identifier, list(payload)
+    base_f, ident_f, digits = decode(blob)
+    if base_f != base or ident_f != identifier:
+        raise CacheError(f"cache file {path} holds {ident_f} base {base_f}")
+    return digits

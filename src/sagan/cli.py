@@ -153,10 +153,7 @@ def cmd_digits(args) -> int:
     if args.cache:
         cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
         path = cache_mod.cache_path(cache_dir, ident, args.base)
-        if path.exists():
-            base_f, ident_f, digits = cache_mod.decode(cache_mod._read(path))
-            if base_f != args.base or ident_f != ident:
-                raise CacheError(f"cache file {path} holds {ident_f} base {base_f}")
+        digits = cache_mod.read_cache(path, args.base, ident)
     if len(digits) < args.count:  # no cache, a miss, or too short a hit
         digits = digits_in_base(spec, args.base, args.count).data
         if args.cache:
@@ -221,20 +218,14 @@ def cmd_search(args) -> int:
         print("give both --circle-digits and --background-digits or neither",
               file=sys.stderr)
         return EXIT_USAGE
-    shape = rasterize(args.n, args.scheme)
-    if args.p_set is not None:
-        pattern = GeneralizedPattern(shape, args.p_set, args.q_set)
-        p_out, q_out = pattern.circle_set, pattern.background_set
-    else:
-        pattern = shape
-        p_out, q_out = frozenset((1,)), frozenset((0,))
+    classes = () if args.p_set is None else (args.p_set, args.q_set)
+    pattern = GeneralizedPattern(rasterize(args.n, args.scheme), *classes)
     matcher = search_mod.compile(pattern, args.base)
     stream = open_stream(spec, args.base, args.block_size)
     result = search_mod.find_first(stream, matcher, args.limit, args.context_width)
     if args.format == "json":
-        record = search_mod.result_record(
-            result, constant_id=spec.identifier(), scheme=args.scheme,
-            n=args.n, circle_set=p_out, background_set=q_out)
+        record = search_mod.result_record(result, constant_id=spec.identifier(),
+                                          pattern=pattern)
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
         print(_render_search_text(result, args.n))

@@ -513,11 +513,14 @@ _SOURCES = {PI: _pi_source, SQRT2: _sqrt2_source, E: _e_source, LOG2: _log2_sour
             FIBONACCI_CFRAC: lambda base: _cfrac_source(fibonacci_numbers(), base)}
 
 
+_CERTIFY_TRIES = 4
+
+
 def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0):
     """Digits done+1..count of X // base**g, X, err = scaled(count + g), once
     X mod base**g is more than err from both ends of the band, so that no
     value within err of X carries into them, and the g that certified them;
-    g doubles, four tries.
+    g doubles after each failed try, _CERTIFY_TRIES tries.
 
     err = 0 means X = floor(V), V = frac(value) * base**(count + g), and then
     X // base**g = floor(floor(V) / base**g) = floor(V / base**g) whatever
@@ -530,7 +533,7 @@ def _certify(scaled, base: int, count: int, guard: int, what: str, done: int = 0
     g = guard
     while base ** g <= 2 * (_SERIES_ERR + 1):
         g += 1
-    for _ in range(4):
+    for _ in range(_CERTIFY_TRIES):
         x, err = scaled(count + g)
         band = mpz(base) ** g
         if err == 0 or err < x % band < band - 1 - err:
@@ -748,7 +751,8 @@ def base_convert(decimal_fraction, target_base: int, out_count: int,
     first = _arith.divmod(mul(x // 10 ** (used - need - guard), big), scale * 10 ** guard)[0]
     if first != _arith.divmod(mul(x + short, big) - short, scale * 10 ** (used - need))[0]:
         raise PrecisionExhausted(
-            "base conversion unstable under guard doubling; supply more digits")
+            f"base conversion unstable: digits past the first {need + guard} "
+            "change the result; supply more digits")
     return DigitBlock(target_base, 1, int_to_digits(first, target_base, out_count))
 
 

@@ -94,11 +94,12 @@ class RasterPattern(BitRaster):
 
 @dataclass(frozen=True)
 class GeneralizedPattern:
-    """Raster shape plus digit classes: circle cells draw from P, background from Q."""
+    """Raster shape plus digit classes: circle cells draw from P, background
+    from Q. The default classes, P = {1} and Q = {0}, make the plain circle."""
 
     shape: RasterPattern
-    circle_set: frozenset
-    background_set: frozenset
+    circle_set: frozenset = frozenset((1,))
+    background_set: frozenset = frozenset((0,))
 
     def __post_init__(self):
         object.__setattr__(self, "circle_set", frozenset(int(d) for d in self.circle_set))

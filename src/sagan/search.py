@@ -43,18 +43,14 @@ def _byte_class(digits: frozenset) -> bytes:
 
 
 class CompiledMatcher:
-    """Admissible digit sets as `runs` of (set, count), which `admits` checks
-    slice by slice and `admissible` expands per position on first read, and
-    `regex`, which matches a window of digits exactly when every digit is
-    admissible: a class per run, [P]{k}."""
+    """Admissible digit sets as `runs` of (set, count), equal neighbours
+    merged, which `admits` checks slice by slice and `admissible` expands per
+    position on first read, and `regex`, which matches a window of digits
+    exactly when every digit is admissible: a class per run, [P]{k}."""
 
     __slots__ = ("base", "runs", "length", "regex", "_admissible")
 
-    def __init__(self, base: int, admissible):
-        self._set_runs(base, ((s, 1) for s in admissible))
-
-    def _set_runs(self, base: int, runs):
-        """Check the sets, merge equal neighbours and compile; `compile` calls it too."""
+    def __init__(self, base: int, runs):
         runs = [(frozenset(int(d) for d in s), count) for s, count in runs]
         for s, _ in runs:
             if not s:
@@ -87,22 +83,19 @@ class CompiledMatcher:
 
 
 def compile(pattern, base: int) -> CompiledMatcher:
-    """Compile a RasterPattern or GeneralizedPattern into a matcher, run by run."""
+    """Compile a GeneralizedPattern into a matcher, run by run; a RasterPattern
+    is the plain circle, GeneralizedPattern(shape)."""
     if base < 2:
         raise BaseTooSmall(f"base {base} < 2")
-    if isinstance(pattern, GeneralizedPattern):
-        if base <= pattern.max_digit:
-            raise BaseTooSmall(
-                f"base {base} <= max digit {pattern.max_digit} of P and Q")
-        shape, sets = pattern.shape, (pattern.background_set, pattern.circle_set)
-    elif isinstance(pattern, RasterPattern):
-        shape, sets = pattern, (frozenset((0,)), frozenset((1,)))
-    else:
+    if isinstance(pattern, RasterPattern):
+        pattern = GeneralizedPattern(pattern)
+    elif not isinstance(pattern, GeneralizedPattern):
         raise TypeError(f"cannot compile {type(pattern).__name__}")
-    matcher = CompiledMatcher.__new__(CompiledMatcher)
-    matcher._set_runs(base, ((sets[shape.data[m.start()]], m.end() - m.start())
-                             for m in re.finditer(rb"\x00+|\x01+", shape.data)))
-    return matcher
+    if base <= pattern.max_digit:
+        raise BaseTooSmall(f"base {base} <= max digit {pattern.max_digit} of P and Q")
+    sets, data = (pattern.background_set, pattern.circle_set), pattern.shape.data
+    return CompiledMatcher(base, ((sets[data[m.start()]], m.end() - m.start())
+                                  for m in re.finditer(rb"\x00+|\x01+", data)))
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,7 @@ def find_digit(stream: DigitStream, digit: int, limit: int,
     """First position of a single digit; a length-1 matcher."""
     if not 0 <= digit < stream.base:
         raise DigitOutOfRange(f"digit {digit} not valid in base {stream.base}")
-    matcher = CompiledMatcher(stream.base, [frozenset((digit,))])
+    matcher = CompiledMatcher(stream.base, [(frozenset((digit,)), 1)])
     return find_first(stream, matcher, limit, context_width)
 
 
@@ -247,15 +240,16 @@ def compact_digit_string(digits) -> str:
     return "".join(str(d) if d < 10 else f"[{d}]" for d in digits)
 
 
-def result_record(result: SearchResult, *, constant_id: str, scheme: str | None,
-                  n: int | None, circle_set, background_set) -> dict:
+def result_record(result: SearchResult, *, constant_id: str,
+                  pattern: GeneralizedPattern) -> dict:
+    """The JSON record of a search for `pattern`: its scheme, n, P and Q."""
     return {
         "constant": constant_id,
         "base": result.base,
-        "scheme": scheme,
-        "n": n,
-        "P": sorted(circle_set) if circle_set is not None else None,
-        "Q": sorted(background_set) if background_set is not None else None,
+        "scheme": pattern.shape.scheme,
+        "n": pattern.shape.n,
+        "P": sorted(pattern.circle_set),
+        "Q": sorted(pattern.background_set),
         "position": result.position,
         "window": compact_digit_string(result.window.data) if result.found else None,
         "context_before": compact_digit_string(result.context_before),

@@ -128,18 +128,31 @@ class TestFileRoundTrip:
     def test_write_then_read(self, tmp_path):
         path = cache_path(tmp_path, "sqrt2", 10)
         write_cache(path, 10, "sqrt2", [4, 1, 4, 2])
-        assert read_cache(path) == (10, "sqrt2", [4, 1, 4, 2])
+        assert read_cache(path, 10, "sqrt2") == bytes([4, 1, 4, 2])
         assert path.name == "sqrt2.b10.sgnd"
 
     def test_identifier_with_separators(self, tmp_path):
         path = cache_path(tmp_path, "rational:22/7", 10)
         assert "/" not in path.name and ":" not in path.name
         write_cache(path, 10, "rational:22/7", [1, 4, 2])
-        assert read_cache(path)[1] == "rational:22/7"
+        assert read_cache(path, 10, "rational:22/7") == bytes([1, 4, 2])
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(CacheError):
-            read_cache(tmp_path / "absent.sgnd")
+        assert read_cache(tmp_path / "absent.sgnd", 10, "pi") == b""
+
+    @pytest.mark.parametrize("base, ident", [(10, "e"), (11, "pi")])
+    def test_file_of_another_constant_or_base(self, tmp_path, base, ident):
+        path = cache_path(tmp_path, "pi", 10)
+        write_cache(path, base, ident, [1, 4])
+        with pytest.raises(CacheError) as info:
+            read_cache(path, 10, "pi")
+        assert str(info.value) == f"cache file {path} holds {ident} base {base}"
+
+    def test_unreadable_path(self, tmp_path):
+        path = cache_path(tmp_path, "pi", 10)
+        path.mkdir()
+        with pytest.raises(CacheError, match="cannot read cache file"):
+            read_cache(path, 10, "pi")
 
     def test_no_temp_file_left(self, tmp_path):
         path = cache_path(tmp_path, "pi", 10)
@@ -171,4 +184,4 @@ class TestFileRoundTrip:
         path = cache_path(tmp_path, "pi", 10)
         write_cache(path, 10, "pi", [1, 4])
         assert calls == ["fsync", "replace"]
-        assert read_cache(path) == (10, "pi", [1, 4])
+        assert read_cache(path, 10, "pi") == bytes([1, 4])

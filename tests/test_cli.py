@@ -1,6 +1,8 @@
 """End-to-end CLI tests: output strings, exit codes, cache behavior, and
 the JSON render -> parse -> render fixed point."""
 
+import ast
+import inspect
 import json
 import struct
 import zlib
@@ -8,6 +10,7 @@ import zlib
 import pytest
 
 from sagan import cache as cache_mod
+from sagan import cli as cli_mod
 from sagan.cache import cache_path, read_cache
 from sagan.cli import EXIT_AMBIGUITY, EXIT_CACHE, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, digit_glyphs, main
 from sagan.digits import ConstantSpec, digits_in_base
@@ -49,7 +52,7 @@ class TestCacheFlow:
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         path = cache_path(tmp_path, "pi", 10)
-        assert read_cache(path)[2][:6] == [1, 4, 1, 5, 9, 2]
+        assert read_cache(path, 10, "pi")[:6] == bytes([1, 4, 1, 5, 9, 2])
         # shorter request served from the same file
         code, out, _ = run(capsys, "digits", "--constant", "pi", "--base", "10",
                            "--count", "6", "--cache", "--cache-dir", str(tmp_path))
@@ -67,11 +70,7 @@ class TestCacheFlow:
             decoded.append(type(result[2]))
             return result
 
-        def as_list(*args):
-            raise AssertionError("the cache hit built a list of the cached digits")
-
         monkeypatch.setattr(cache_mod, "decode", spy)
-        monkeypatch.setattr(cache_mod, "read_cache", as_list)
         for count in (3000, 2500):
             code, hit, _ = run(capsys, *argv, "--count", str(count))
             assert code == EXIT_OK and hit == miss[:count] + "\n"
@@ -86,14 +85,14 @@ class TestCacheFlow:
                              "--cache", "--cache-dir", str(tmp_path))
         assert code == EXIT_CACHE and out == ""
         assert err == f"cache error: cache file {path} holds {ident} base {base}\n"
-        assert read_cache(path) == (base, ident, [1, 4, 1, 5])
+        assert read_cache(path, base, ident) == bytes([1, 4, 1, 5])
 
     def test_cache_extension_rewrites(self, capsys, tmp_path):
         run(capsys, "digits", "--constant", "sqrt2", "--count", "5",
             "--cache", "--cache-dir", str(tmp_path))
         run(capsys, "digits", "--constant", "sqrt2", "--count", "9",
             "--cache", "--cache-dir", str(tmp_path))
-        assert len(read_cache(cache_path(tmp_path, "sqrt2", 10))[2]) == 9
+        assert len(read_cache(cache_path(tmp_path, "sqrt2", 10), 10, "sqrt2")) == 9
 
     def test_corrupt_cache_exits_three(self, capsys, tmp_path):
         run(capsys, "digits", "--constant", "pi", "--count", "8",
@@ -414,3 +413,20 @@ class TestModuleEntryPoint:
                               text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.strip() == out
+
+
+class TestCliModule:
+    def test_uses_no_private_name_of_another_module(self):
+        # a private name is a decision its module owns; the CLI calls the
+        # module's public names instead of making the decision a second time
+        tree = ast.parse(inspect.getsource(cli_mod))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level == 1 or (node.module or "").startswith("sagan"))]
+        modules = {alias.asname or alias.name for node in imports
+                   if node.module in (None, "sagan") for alias in node.names}
+        private = [alias.name for node in imports for alias in node.names
+                   if alias.name.startswith("_")]
+        private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")]
+        assert modules and private == []

@@ -317,7 +317,7 @@ class TestScanOracle:
                 shape = rasterize(rng.randint(1, 4), rng.choice(("naive", "center")))
                 matcher = compile(GeneralizedPattern(shape, p, q), 256)
             else:
-                matcher = CompiledMatcher(256, [pick() for _ in range(rng.randint(1, 12))])
+                matcher = CompiledMatcher(256, [(pick(), 1) for _ in range(rng.randint(1, 12))])
             size = rng.randint(matcher.length, 3000)
             digits = [rng.choice(alphabet) for _ in range(size)]
             limit = rng.randint(matcher.length, size)
@@ -330,7 +330,7 @@ class TestScanOracle:
         for _ in range(100):
             alphabet, pick = self.random_sets(rng)
             sets = [pick() for _ in range(rng.randint(1, 40))]
-            matcher = CompiledMatcher(256, sets)
+            matcher = CompiledMatcher(256, [(s, 1) for s in sets])
             digits = [rng.choice(alphabet) for _ in range(rng.randint(0, 500))]
             anchor = len(digits) + 1
             digits += [rng.choice(sorted(s)) for s in sets]
@@ -521,8 +521,8 @@ class TestRecord:
 
     def test_record_fields(self):
         result = find_first(open_stream(PI, 10, 64), compile(rasterize_center(1), 10), 10)
-        record = result_record(result, constant_id="pi", scheme="center", n=1,
-                               circle_set={1}, background_set={0})
+        record = result_record(result, constant_id="pi",
+                               pattern=GeneralizedPattern(rasterize_center(1)))
         assert record["found"] is True
         assert record["position"] == 1
         assert record["window"] == "1"

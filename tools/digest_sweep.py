@@ -14,6 +14,12 @@ included, is the same byte for byte. Sections:
   cfrac_digits    seeded random finite coefficient lists
   base_convert    random, near-boundary and pi prefixes, bases 2..256,
                   guards 0..12
+  cli             argv, exit code, stdout and stderr of `cli.main` over every
+                  subcommand: digits in several bases, the --cache miss, hit,
+                  shorter hit and extension, damaged cache files, search in
+                  text and json with and without digit classes, bbp,
+                  normality, estimate, circle, ellipse and bad arguments;
+                  cache files go to a temp dir whose path reads <tmp>
 
 Stdlib and sagan only; the inputs are fixed by seeds, so the output depends
 only on the tree. The run time goes to stderr (about 3 s on a 2-vCPU x86
@@ -22,14 +28,23 @@ VM with CPython 3.11.7 and no gmpy2).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import math
+import os
 import random
+import struct
 import sys
+import tempfile
 import time
+import zlib
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+from sagan import cli
+from sagan.cache import cache_path, encode
 from sagan.digits import (ConstantSpec, base_convert, cfrac_digits, decimal_digits,
                           digits_in_base, open_stream)
 
@@ -115,8 +130,140 @@ def sweep_base_convert():
         yield digits, base, count, guard, outcome(lambda: base_convert(digits, base, count, guard))
 
 
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one `cli.main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def with_crc(blob: bytes) -> bytes:
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+DAMAGE = {  # a good pi base-10 file in, what lies at its path out
+    "crc": lambda b: b[:-1] + bytes([b[-1] ^ 0xFF]),
+    "magic": lambda b: b"XGND" + b[4:],
+    "version": lambda b: b[:4] + b"\x02" + b[5:],
+    "empty": lambda b: b"",
+    "truncated header": lambda b: b[:15],
+    "truncated payload": lambda b: b[:-10],
+    "length": lambda b: b[:-5] + b[-4:],
+    "base field": lambda b: b[:5] + struct.pack("<H", 300) + b[7:],
+    "identifier bytes": lambda b: with_crc(b[:8] + b"\xff" + b[9:]),
+    "digit past base": lambda b: with_crc(b[:-5] + b"\x0a" + b[-4:]),
+    "another constant": lambda b: encode(10, "e", b[-24:-4]),
+    "another base": lambda b: encode(11, "pi", b[-24:-4]),
+}
+
+
+def cli_argvs(tmp: Path):
+    """Command lines for `cli.main`; the cache cases write under `tmp`, and
+    the damaged-file cases lay a damaged file at the cache path first."""
+    for constant, base, count in (("pi", 10, 60), ("pi", 2, 40), ("pi", 11, 30),
+                                  ("pi", 16, 30), ("pi", 36, 30), ("pi", 37, 20),
+                                  ("pi", 256, 20), ("e", 10, 30), ("log2", 3, 30),
+                                  ("sqrt2", 7, 30), ("rational:1/3", 10, 8),
+                                  ("rational:-22/7", 11, 12), ("champernowne10", 10, 40),
+                                  ("copeland-erdos", 11, 30), ("fibonacci-cfrac", 10, 30),
+                                  ("zeta3", 10, 4), ("pi", 10, 0), ("pi", 1, 5),
+                                  ("pi", 257, 5)):
+        yield ["digits", "--constant", constant, "--base", str(base), "--count", str(count)]
+    cache = ["--cache", "--cache-dir", str(tmp / "flow")]
+    for constant, base, count in (("pi", 10, 50), ("pi", 10, 50), ("pi", 10, 20),
+                                  ("pi", 10, 80), ("pi", 10, 80), ("pi", 10, 60),
+                                  ("sqrt2", 11, 30), ("sqrt2", 11, 31), ("sqrt2", 11, 10),
+                                  ("rational:22/7", 10, 12), ("rational:22/7", 10, 12),
+                                  ("champernowne256", 256, 20), ("champernowne256", 256, 20)):
+        yield ["digits", "--constant", constant, "--base", str(base), "--count", str(count),
+               *cache]
+    good = encode(10, "pi", digits_in_base(ConstantSpec.pi(), 10, 20).data)
+    for number, (name, damage) in enumerate(DAMAGE.items()):
+        folder = tmp / f"damaged-{number}"
+        folder.mkdir()
+        cache_path(folder, "pi", 10).write_bytes(damage(good))
+        yield ["digits", "--constant", "pi", "--count", "10", "--cache", "--cache-dir",
+               str(folder)]
+    folder = tmp / "a directory at the path"
+    cache_path(folder, "pi", 10).mkdir(parents=True)
+    yield ["digits", "--constant", "pi", "--count", "10", "--cache", "--cache-dir", str(folder)]
+    (tmp / "a file").write_bytes(b"")
+    yield ["digits", "--constant", "pi", "--count", "10", "--cache", "--cache-dir",
+           str(tmp / "a file")]
+
+    classes = ["--circle-digits", "1,7", "--background-digits", "0,3"]
+    for extra in ([], ["--format", "json"]):
+        for search in (["--constant", "pi", "-n", "2", "--limit", "20000"],
+                       ["--constant", "pi", "--base", "11", "-n", "2", "--limit", "6000"],
+                       ["--constant", "e", "-n", "1", "--limit", "10", "--context-width", "0"],
+                       ["--constant", "pi", "-n", "3", "--limit", "500"],
+                       ["--constant", "pi", "-n", "2", "--limit", "4000", *classes],
+                       ["--constant", "pi", "-n", "3", "--limit", "4000", "--circle-digits",
+                        "1,2,3,4,5", "--background-digits", "0,5,6,7,8,9"],
+                       ["--constant", "pi", "-n", "3", "--limit", "300", *classes],
+                       ["--constant", "champernowne10", "-n", "2", "--scheme", "naive",
+                        "--limit", "5000", "--circle-digits", "9",
+                        "--background-digits", "8,9", "--block-size", "7"],
+                       ["--constant", "rational:1/7", "-n", "1", "--limit", "50",
+                        "--circle-digits", "4", "--background-digits", "0"]):
+            yield ["search", *search, *extra]
+    for bad in (["--limit", "0"], ["-n", "0"], ["-n", "4097"], ["--context-width", "-1"],
+                ["--context-width", "10001"], ["--circle-digits", "1"],
+                ["--circle-digits", "", "--background-digits", "0"],
+                ["--circle-digits", "x"], ["--base", "2", *classes],
+                ["-n", "3", "--limit", "4"], ["--block-size", "0"], ["--scheme", "square"],
+                ["--constant", "zeta3"]):
+        yield ["search", "--constant", "pi", "-n", "2", "--limit", "100", *bad]
+
+    for bbp in (["--position", "100"], ["--position", "1", "--count", "3"],
+                ["--position", "1000", "--count", "20"],
+                ["--constant", "log2", "--position", "50", "--count", "4"],
+                ["--constant", "pi", "--base", "16", "--position", "7"],
+                ["--position", "5", "--base", "10"], ["--position", "0"],
+                ["--position", "5", "--count", "0"]):
+        yield ["bbp", *bbp]
+    for normality in (["--constant", "champernowne10", "--length", "2000"],
+                      ["--constant", "pi", "--base", "11", "--length", "3000", "--kmax", "3"],
+                      ["--constant", "rational:1/7", "--length", "500", "--kmax", "1"],
+                      ["--constant", "champernowne10", "--length", "0"],
+                      ["--constant", "pi", "--length", "100", "--kmax", "0"]):
+        yield ["normality", *normality]
+        yield ["normality", *normality, "--format", "json"]
+    for estimate in (["--base", "10", "-n", "2"], ["--base", "11", "-n", "45"],
+                     ["--base", "2", "--window", "5", "--ns-per-digit", "3/2"],
+                     ["--base", "10", "--window", "0"], ["--base", "1", "-n", "2"],
+                     ["--base", "10", "-n", "2", "--window", "4"]):
+        yield ["estimate", *estimate]
+        yield ["estimate", *estimate, "--format", "json"]
+    for circle in (["-n", "5"], ["-n", "6", "--flat"], ["-n", "7", "--frame"],
+                   ["-n", "8", "--scheme", "naive"], ["-n", "4", "--radius", "3/2"],
+                   ["-n", "3", "--radius", "0"], ["-n", "0"], ["-n", "4097"]):
+        yield ["circle", *circle]
+    for ellipse in (["-a", "3", "-b", "2", "--width", "7", "--height", "5"],
+                    ["-a", "5/2", "-b", "1", "--width", "6", "--height", "3", "--flat"],
+                    ["-a", "0", "-b", "1", "--width", "3", "--height", "3"],
+                    ["-a", "1", "-b", "1", "--width", "0", "--height", "3"]):
+        yield ["ellipse", *ellipse]
+    yield from ([], ["nope"], ["digits"], ["circle", "-n", "x"])
+
+
+def sweep_cli():
+    with tempfile.TemporaryDirectory() as tmp:
+        def plain(text: str) -> str:
+            return text.replace(tmp, "<tmp>").replace(f".tmp{os.getpid()}", ".tmp<pid>")
+
+        for argv in cli_argvs(Path(tmp)):
+            code, out, err = run_cli(argv)
+            yield [plain(arg) for arg in argv], (f"exit{code}", plain(out), plain(err))
+
+
 SECTIONS = (("digits_in_base", sweep_digits_in_base), ("streams", sweep_streams),
-            ("cfrac_digits", sweep_cfrac), ("base_convert", sweep_base_convert))
+            ("cfrac_digits", sweep_cfrac), ("base_convert", sweep_base_convert),
+            ("cli", sweep_cli))
 
 
 def main() -> int:
