@@ -182,7 +182,7 @@ def cli_argvs(tmp: Path):
         yield ["digits", "--constant", constant, "--base", str(base), "--count", str(count),
                *cache]
     good = encode(10, "pi", digits_in_base(ConstantSpec.pi(), 10, 20).data)
-    for number, (name, damage) in enumerate(DAMAGE.items()):
+    for number, damage in enumerate(DAMAGE.values()):
         folder = tmp / f"damaged-{number}"
         folder.mkdir()
         cache_path(folder, "pi", 10).write_bytes(damage(good))
