@@ -100,8 +100,7 @@ def _mul_pos(a, b):
     k = la // 2
     mask = (1 << k) - 1
     a1, a0 = a >> k, a & mask
-    if lb <= k:  # b fits in one half: two products, no middle term
-        return (_mul_pos(a1, b) << k) + _mul_pos(a0, b)
+    # a b below 2**k has b1 = 0, so hi is 0 at once and two products remain
     b1, b0 = (a1, a0) if b is a else (b >> k, b & mask)
     sa = a1 + a0
     sb = sa if b is a else b1 + b0

@@ -61,13 +61,14 @@ def _parts(formula: BBPFormula, head: int, d: int) -> tuple:
     return tuple((c, d, m, m * head + j, formula.base) for c, j in formula.terms)
 
 
-def evaluate(formula: BBPFormula, digit_count: int, guard: int = DEFAULT_GUARD) -> DigitBlock:
-    """Leading fractional digits of the series value, guard-band certified."""
+def evaluate(formula: BBPFormula, digit_count: int) -> DigitBlock:
+    """Leading fractional digits of the series value, certified with
+    DEFAULT_GUARD digits of guard."""
     if digit_count < 1:
         raise ValueError("digit_count must be >= 1")
     base = formula.base
     scaled = _linear_sum(_parts(formula, 0, base ** formula.shift), base)
-    digits = _certify(scaled, base, digit_count, guard,
+    digits = _certify(scaled, base, digit_count, DEFAULT_GUARD,
                       f"{digit_count} digits of {formula.description or formula}")[0]
     return DigitBlock(base, 1, digits)
 
@@ -158,7 +159,7 @@ def _scaled_fraction(formula: BBPFormula, position: int, width: int):
 def digit_extract(formula: BBPFormula, position: int, count: int) -> DigitBlock:
     """Digits at `position`..`position+count-1` without earlier digits.
 
-    count is capped at 8 per call; extract_digits takes any width.
+    count is capped at 8 per call; digit_extract_info takes any width.
     Starts at 64 guard bits and doubles them on each retry, _CERTIFY_TRIES
     tries in all, before raising CarryAmbiguity.
     """
@@ -191,8 +192,3 @@ def digit_extract_info(formula: BBPFormula, position: int, count: int):
         raise CarryAmbiguity(f"carry not resolved at position {position} after "
                              f"{guard * bits << (_CERTIFY_TRIES - 1)} guard bits") from None
     return DigitBlock(base, position, digits), g * bits
-
-
-def extract_digits(formula: BBPFormula, position: int, count: int) -> DigitBlock:
-    """Window of any length from one extraction."""
-    return digit_extract_info(formula, position, count)[0]

@@ -99,7 +99,9 @@ def write_cache(path: str | os.PathLike, base: int, identifier: str, digits) -> 
     except OSError as exc:
         if tmp.exists():
             tmp.unlink()
-        raise CacheError(f"cannot write cache file {path}: {exc}") from exc
+        # mkdir's exist_ok forgives only a directory: anything else there is a FileExistsError
+        reason = f"{path.parent} is not a directory" if isinstance(exc, FileExistsError) else exc
+        raise CacheError(f"cannot write cache file {path}: {reason}") from exc
 
 
 def read_cache(path: str | os.PathLike, base: int, identifier: str) -> bytes:

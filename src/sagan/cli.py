@@ -18,7 +18,7 @@ from . import bbp as bbp_mod
 from . import cache as cache_mod
 from . import normality as normality_mod
 from . import search as search_mod
-from .digits import ConstantSpec, digits_in_base, open_stream
+from .digits import DEFAULT_BLOCK_SIZE, ConstantSpec, digits_in_base, open_stream
 from .errors import CacheError, CarryAmbiguity, PrecisionExhausted, SaganError
 from .raster import (
     CENTER,
@@ -109,13 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=10)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--scheme", choices=SCHEMES, default=CENTER)
-    p.add_argument("--circle-digits", "--p-set", dest="p_set", type=_parse_digit_set,
+    p.add_argument("--circle-digits", dest="p_set", type=_parse_digit_set,
                    default=None, help="digit class for circle cells, e.g. 1,7")
-    p.add_argument("--background-digits", "--q-set", dest="q_set", type=_parse_digit_set,
+    p.add_argument("--background-digits", dest="q_set", type=_parse_digit_set,
                    default=None, help="digit class for background cells, e.g. 0,3")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--context-width", type=int, default=12)
-    p.add_argument("--block-size", type=int, default=4096)
+    p.add_argument("--context-width", type=int, default=search_mod.CONTEXT_WIDTH)
+    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("bbp", help="extract digits at an arbitrary position")

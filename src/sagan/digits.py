@@ -27,6 +27,7 @@ from .errors import (
 )
 
 DEFAULT_GUARD = 12
+DEFAULT_BLOCK_SIZE = 4096  # digits per next_block(): open_stream and `sagan search`
 MIN_BASE = 2
 MAX_BASE = 256
 
@@ -823,10 +824,9 @@ def digits_in_base(constant: ConstantSpec, base: int, count: int,
     return stream.take(count)
 
 
-def decimal_digits(constant: ConstantSpec, count: int,
-                   guard: int = DEFAULT_GUARD) -> DigitBlock:
+def decimal_digits(constant: ConstantSpec, count: int) -> DigitBlock:
     """First `count` fractional decimal digits of `constant`."""
-    return digits_in_base(constant, 10, count, guard)
+    return digits_in_base(constant, 10, count)
 
 
 # ---------------------------------------------------------------------------
@@ -919,10 +919,7 @@ class DigitStream:
             raise ValueError("count must be >= 0")
         self.cursor += count
 
-    def __iter__(self) -> Iterator[DigitBlock]:
-        while True:
-            yield self.next_block()
 
-
-def open_stream(constant: ConstantSpec, base: int, block_size: int = 1024) -> DigitStream:
+def open_stream(constant: ConstantSpec, base: int,
+                block_size: int = DEFAULT_BLOCK_SIZE) -> DigitStream:
     return DigitStream(constant, base, block_size)

@@ -24,6 +24,7 @@ TABLE_BUDGET_BITS = 24
 # and the index memory doubles with each step
 _CHUNK_WINDOWS = 1 << 15
 UNDERFLOW_FLOOR = 1e-308
+MIN_EXPECTED = 5.0  # least expected windows per cell for chi_square_uniform
 
 
 @dataclass(frozen=True)
@@ -185,17 +186,18 @@ class ChiSquare(NamedTuple):
     underflow: bool
 
 
-def chi_square_uniform(counts: KGramCounts, min_expected: float = 5.0) -> ChiSquare:
+def chi_square_uniform(counts: KGramCounts) -> ChiSquare:
     """Pearson statistic against the uniform model and its upper-tail
     p-value Q(dof/2, statistic/2), dof = cells - 1, from `_chi2_sf`: a
     finite Poisson sum (plus erfc for odd dof) in the standard library,
     within 1e-12 relative of Q wherever Q >= 1e-300. A p-value below
-    UNDERFLOW_FLOOR is reported as 0 with `underflow` set."""
+    UNDERFLOW_FLOOR is reported as 0 with `underflow` set. TooFewSamples
+    when a cell expects fewer than MIN_EXPECTED windows."""
     cells = counts.cells
     samples = counts.samples
-    if samples < min_expected * cells:
+    if samples < MIN_EXPECTED * cells:
         raise TooFewSamples(
-            f"{samples} windows for {cells} cells; need >= {min_expected} per cell")
+            f"{samples} windows for {cells} cells; need >= {MIN_EXPECTED} per cell")
     expected = samples / cells
     statistic = sum((n - expected) ** 2 for n in counts.counts.values()) / expected
     statistic += (cells - len(counts.counts)) * expected
@@ -275,10 +277,11 @@ class EquidistributionProbability:
     stirling_approx: float
 
 
-def _sci_string(value: Fraction, sig_digits: int = 6) -> str:
-    ctx = DecimalContext(prec=sig_digits, Emax=10 ** 12, Emin=-(10 ** 12))
+def _sci_string(value: Fraction) -> str:
+    """`value` to 6 significant digits in scientific notation."""
+    ctx = DecimalContext(prec=6, Emax=10 ** 12, Emin=-(10 ** 12))
     d = ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
-    return f"{d:.{sig_digits - 1}e}"
+    return f"{d:.5e}"
 
 
 def _stirling_log_factorial(n: int) -> float:

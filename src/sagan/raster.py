@@ -60,12 +60,13 @@ class BitRaster:
         w = self.width
         return [tuple(self.data[i * w:(i + 1) * w]) for i in range(self.height)]
 
-    def ascii(self, frame: bool = False, on: str = "#", off: str = ".") -> str:
-        flat, w, glyphs = self.flat(), self.width, {ord("0"): off, ord("1"): on}
+    def ascii(self, frame: bool = False) -> str:
+        """Rows of "#" for 1 and "." for 0, with a frame of "." if asked."""
+        flat, w, glyphs = self.flat(), self.width, {ord("0"): ".", ord("1"): "#"}
         rows = [flat[i * w:(i + 1) * w].translate(glyphs) for i in range(self.height)]
         if frame:
-            edge = off * (self.width + 2)
-            rows = [edge] + [off + row + off for row in rows] + [edge]
+            edge = "." * (self.width + 2)
+            rows = [edge] + ["." + row + "." for row in rows] + [edge]
         return "\n".join(rows)
 
 

@@ -25,6 +25,7 @@ from .raster import GeneralizedPattern, RasterPattern
 # big-decimal context: magnitudes like 11**2048 need huge exponents
 _CTX = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
+CONTEXT_WIDTH = 12  # digits of context each side of a match: find_first and `sagan search`
 NANOSECONDS_PER_YEAR = Decimal("3.2E+16")
 UNIVERSE_AGE_YEARS = Decimal("1.35E+10")
 
@@ -111,7 +112,7 @@ class SearchResult:
 
 
 def find_first(stream: DigitStream, matcher: CompiledMatcher, limit: int,
-               context_width: int = 12) -> SearchResult:
+               context_width: int = CONTEXT_WIDTH) -> SearchResult:
     """Smallest anchor p with digits p..p+len-1 all admissible, among the
     first `limit` digits from the stream's cursor, in the stream's positions.
 
@@ -160,13 +161,12 @@ def find_first(stream: DigitStream, matcher: CompiledMatcher, limit: int,
     return SearchResult(True, hit, window, before, after, examined, limit, matcher.base)
 
 
-def find_digit(stream: DigitStream, digit: int, limit: int,
-               context_width: int = 12) -> SearchResult:
+def find_digit(stream: DigitStream, digit: int, limit: int) -> SearchResult:
     """First position of a single digit; a length-1 matcher."""
     if not 0 <= digit < stream.base:
         raise DigitOutOfRange(f"digit {digit} not valid in base {stream.base}")
     matcher = CompiledMatcher(stream.base, [(frozenset((digit,)), 1)])
-    return find_first(stream, matcher, limit, context_width)
+    return find_first(stream, matcher, limit)
 
 
 # ---------------------------------------------------------------------------

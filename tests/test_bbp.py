@@ -15,7 +15,6 @@ from sagan.bbp import (
     digit_extract,
     digit_extract_info,
     evaluate,
-    extract_digits,
     log2_formula,
     pi_formula,
 )
@@ -155,7 +154,7 @@ class TestDigitExtract:
         with pytest.raises(ValueError, match="2\\*\\*63"):
             digit_extract(pi_formula(), 2 ** 64, 1)
         with pytest.raises(ValueError):
-            extract_digits(pi_formula(), 2 ** 63 + 1, 1)
+            digit_extract_info(pi_formula(), 2 ** 63 + 1, 1)[0]
         with pytest.raises(ValueError):
             digit_extract_info(log2_formula(), 2 ** 63 + 2, 1)
 
@@ -163,11 +162,11 @@ class TestDigitExtract:
 class TestExtractDigits:
     def test_chained_window(self):
         native = digits_in_base(PI, 16, 60).digits
-        assert extract_digits(pi_formula(), 1, 40).digits == native[:40]
-        assert extract_digits(pi_formula(), 17, 30).digits == native[16:46]
+        assert digit_extract_info(pi_formula(), 1, 40)[0].digits == native[:40]
+        assert digit_extract_info(pi_formula(), 17, 30)[0].digits == native[16:46]
 
     def test_short_window_passthrough(self):
-        assert extract_digits(pi_formula(), 9, 4).digits == \
+        assert digit_extract_info(pi_formula(), 9, 4)[0].digits == \
             digit_extract(pi_formula(), 9, 4).digits
 
 
@@ -222,7 +221,7 @@ class TestWideWindows:
         for p in (1, 1300):
             block, guard = digit_extract_info(pi_formula(), p, count)
             assert block.digits == native[p - 1:p - 1 + count] and guard in (64, 128, 256)
-            assert extract_digits(pi_formula(), p, count).digits == block.digits
+            assert digit_extract_info(pi_formula(), p, count)[0].digits == block.digits
 
     @pytest.mark.parametrize("count", [9, 64, 1000])
     def test_log2_against_native_pipeline(self, count):
@@ -230,7 +229,7 @@ class TestWideWindows:
         for p in (1, 500):
             block, _ = digit_extract_info(log2_formula(), p, count)
             assert block.digits == native[p - 1:p - 1 + count]
-            assert extract_digits(log2_formula(), p, count).digits == block.digits
+            assert digit_extract_info(log2_formula(), p, count)[0].digits == block.digits
 
     def test_position_100000(self):
         block, _ = digit_extract_info(pi_formula(), 100000, 8)
@@ -246,7 +245,7 @@ class TestWideWindows:
         with pytest.raises(ValueError):
             digit_extract_info(pi_formula(), 1, 0)
         with pytest.raises(ValueError):
-            extract_digits(pi_formula(), 1, 0)
+            digit_extract_info(pi_formula(), 1, 0)[0]
 
     @pytest.mark.parametrize("formula", [pi_formula(), log2_formula()], ids=["pi", "log2"])
     def test_carry_rejections_match_scalar_head(self, formula, monkeypatch):
@@ -266,7 +265,7 @@ class TestWideWindows:
     def test_3000_digits(self, formula, spec, positions):
         native = digits_in_base(spec, formula.base, 3020).digits
         for p in positions:
-            assert extract_digits(formula, p, 3000).digits == native[p - 1:p + 2999], p
+            assert digit_extract_info(formula, p, 3000)[0].digits == native[p - 1:p + 2999], p
 
     @pytest.mark.parametrize("formula", [pi_formula(), log2_formula()], ids=["pi", "log2"])
     def test_one_tail_quotient_per_term(self, formula, monkeypatch):

@@ -167,6 +167,15 @@ class TestFileRoundTrip:
             write_cache(path, 10, "pi", [1, 4])
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_cache_dir_that_is_a_file(self, tmp_path):
+        folder = tmp_path / "file"
+        folder.write_bytes(b"")
+        path = cache_path(folder, "pi", 10)
+        with pytest.raises(CacheError) as exc:
+            write_cache(path, 10, "pi", [1, 4])
+        assert str(exc.value) == f"cannot write cache file {path}: {folder} is not a directory"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     def test_fsync_before_replace(self, tmp_path, monkeypatch):
         calls = []
         real_fsync, real_replace = os.fsync, os.replace

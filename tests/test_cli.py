@@ -328,6 +328,13 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("alias", ["--p-set", "--q-set"])
+    def test_digit_class_flags_have_one_spelling(self, capsys, alias):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--constant", "pi", "-n", "1", "--limit", "10", alias, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {alias} 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         (("search", "--constant", "pi", "-n", "0", "--limit", "100"), "n must be in 1..4096"),
         (("search", "--constant", "pi", "-n", "5000", "--limit", "100"), "n must be in 1..4096"),
@@ -430,3 +437,15 @@ class TestCliModule:
                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in modules and node.attr.startswith("_")]
         assert modules and private == []
+
+    def test_search_defaults_have_one_owner(self):
+        # the block size belongs to digits and the context width to search;
+        # the CLI and the library entry points read theirs, restating none
+        from sagan.digits import DEFAULT_BLOCK_SIZE, open_stream
+        from sagan.search import CONTEXT_WIDTH, find_first
+
+        args = cli_mod.build_parser().parse_args(
+            ["search", "--constant", "pi", "-n", "2", "--limit", "100"])
+        assert (args.block_size, args.context_width) == (DEFAULT_BLOCK_SIZE, CONTEXT_WIDTH)
+        assert open_stream(ConstantSpec.pi(), 10).block_size == DEFAULT_BLOCK_SIZE
+        assert inspect.signature(find_first).parameters["context_width"].default == CONTEXT_WIDTH

@@ -1382,7 +1382,7 @@ class TestCertifier:
         assert seen == [(11, 300), (11, 400)]
         native = digits_in_base(PI, 16, 1023).data
         seen.clear()
-        assert bbp.extract_digits(bbp.pi_formula(), 1000, 24).data == native[999:]
+        assert bbp.digit_extract_info(bbp.pi_formula(), 1000, 24)[0].data == native[999:]
         assert seen == [(16, 24)]
 
 

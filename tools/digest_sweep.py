@@ -20,6 +20,13 @@ included, is the same byte for byte. Sections:
                   text and json with and without digit classes, bbp,
                   normality, estimate, circle, ellipse and bad arguments;
                   cache files go to a temp dir whose path reads <tmp>
+  api             library calls with their defaults: BBP `evaluate` and
+                  `digit_extract_info` windows and guard bits for pi, log 2
+                  and a base-10 formula, `find_digit`, `find_first` over
+                  `open_stream` at the default and explicit block sizes,
+                  `chi_square_uniform` (TooFewSamples included),
+                  `exact_equidistribution_probability` and `ascii` with and
+                  without a frame
 
 Stdlib and sagan only; the inputs are fixed by seeds, so the output depends
 only on the tree. The run time goes to stderr (about 3 s on a 2-vCPU x86
@@ -44,9 +51,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from sagan import cli
+from sagan.bbp import BBPFormula, digit_extract_info, evaluate, log2_formula, pi_formula
 from sagan.cache import cache_path, encode
 from sagan.digits import (ConstantSpec, base_convert, cfrac_digits, decimal_digits,
                           digits_in_base, open_stream)
+from sagan.normality import chi_square_uniform, exact_equidistribution_probability, kgram_counts
+from sagan.raster import SCHEMES, rasterize, rasterize_ellipse
+from sagan.search import compile, find_digit, find_first
 
 CONSTANTS = tuple(ConstantSpec.parse(name) for name in (
     "pi", "sqrt2", "log2", "e", "fibonacci-cfrac", "copeland-erdos", "fibonacci-concat",
@@ -261,9 +272,67 @@ def sweep_cli():
             yield [plain(arg) for arg in argv], (f"exit{code}", plain(out), plain(err))
 
 
+def extraction(formula, position: int, count: int):
+    """digit_extract_info's window as (position, digits), and its guard bits."""
+    block, bits = digit_extract_info(formula, position, count)
+    return block.start_position, block.data, bits
+
+
+def search_data(result):
+    """A SearchResult as plain data, its window as (position, digits)."""
+    window = result.window and (result.window.start_position, result.window.data)
+    return (result.found, result.position, window, result.context_before,
+            result.context_after, result.digits_examined, result.limit, result.base)
+
+
+def sweep_api():
+    ten = BBPFormula(10, 1, ((1, 1),), shift=1, description="log(10/9) in base 10")
+    for formula in (pi_formula(), log2_formula(), ten):
+        for count in (1, 40, 700, 0):
+            yield "evaluate", formula.description, count, outcome(
+                lambda: evaluate(formula, count))
+        for position, count in ((1, 1), (1, 30), (7, 8), (1000, 24), (5000, 3000),
+                                (0, 1), (5, 0)):
+            yield "digit_extract_info", formula.description, position, count, outcome(
+                lambda: extraction(formula, position, count))
+    for spec, base in ((ConstantSpec.pi(), 10), (ConstantSpec.e(), 11),
+                       (ConstantSpec.rational(1, 3), 10)):
+        for digit in (0, 1, 3, 9, 10, 11):
+            for limit in (1, 40):
+                yield "find_digit", spec.identifier(), base, digit, limit, outcome(
+                    lambda: search_data(find_digit(open_stream(spec, base, 64), digit, limit)))
+    for spec, base, n, limit in ((ConstantSpec.pi(), 10, 2, 20000),
+                                 (ConstantSpec.pi(), 11, 2, 6000),
+                                 (ConstantSpec.e(), 10, 1, 10), (ConstantSpec.pi(), 10, 3, 500),
+                                 (ConstantSpec.champernowne(10), 10, 2, 5000),
+                                 (ConstantSpec.pi(), 10, 2, 3)):
+        for scheme in SCHEMES:
+            matcher = compile(rasterize(n, scheme), base)
+            for block in (None, 1, 64, 4096):
+                yield "find_first", spec.identifier(), base, n, scheme, limit, block, outcome(
+                    lambda: search_data(find_first(open_stream(spec, base) if block is None
+                                                   else open_stream(spec, base, block),
+                                                   matcher, limit)))
+    for spec, base in ((ConstantSpec.pi(), 10), (ConstantSpec.champernowne(10), 10),
+                       (ConstantSpec.sqrt2(), 3)):
+        for length in (1, 49, 50, 500, 5000):
+            for k in (1, 2, 3):
+                yield "chi_square_uniform", spec.identifier(), base, length, k, outcome(
+                    lambda: chi_square_uniform(kgram_counts(digits_in_base(spec, base, length),
+                                                            k)))
+    for trials, categories, per in ((10, 10, 1), (1000, 10, 100), (12, 3, 4), (5, 2, 2)):
+        yield "exact_equidistribution_probability", trials, categories, per, outcome(
+            lambda: exact_equidistribution_probability(trials, categories, per))
+    rasters = [rasterize(n, scheme) for n in range(1, 13) for scheme in SCHEMES]
+    rasters += [rasterize_ellipse(3, 2, 7, 5), rasterize_ellipse(Fraction(5, 2), 1, 6, 3)]
+    for raster in rasters:
+        yield "ascii", raster.width, raster.flat(), outcome(
+            lambda: (raster.ascii(), raster.ascii(frame=True)))
+
+
 SECTIONS = (("digits_in_base", sweep_digits_in_base), ("streams", sweep_streams),
             ("cfrac_digits", sweep_cfrac), ("base_convert", sweep_base_convert),
-            ("cli", sweep_cli))
+            ("cli", sweep_cli), ("api", sweep_api))
 
 
 def main() -> int:
