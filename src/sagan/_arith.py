@@ -18,7 +18,12 @@ and `isqrt` are exact pure-Python replacements:
   with its division done by `py_divmod`, same results as `math.isqrt`.
 
 The FFT product's cutoff and cap were timed on CPython 3.11.7 (x86,
-2 vCPU). Below about 16 kbit Karatsuba is as fast. The cap keeps each
+2 vCPU). The cutoff was timed again for 14-bit limbs in October 2026
+(medians of 41 interleaved runs in one process, 8 to 24 kbit): the
+transform overtakes the builtin product at about 19 kbit for n x n bits,
+14.5 kbit for 1.5n x n and 12.5 kbit for 2n x n. Nine in ten products with
+a smaller operand near the cutoff in the pi, e, sqrt 2 and log 2 series
+are within 1.25x of square, so the cutoff is 18 kbit. The cap keeps each
 transform's arrays at 256 kB: on pi, e and sqrt 2 at 10**5 digits, 2**16
 points ran 5-7% faster and raised peak memory by a further 0.9-1.2 MB, and
 2**14 points saved about 0.6 MB and ran 3-9% slower. The FFT module is
@@ -46,21 +51,24 @@ _divmod = builtins.divmod
 # 3.3.2; Percival, Math. Comp. 72 (2003), Theorem 5.1). Operands a, b >= 0
 # are cut into la and lb limbs of w = _LIMB_BITS bits, and the limbs of
 # a * b before carries are the acyclic convolution c_k = sum_{i+j=k} x_i y_j,
-# here the cyclic convolution irfft(rfft(x) * rfft(y)) of N = 2**n >=
-# la + lb - 1 points. Percival bounds the error of every computed c_k by
+# here the cyclic convolution irfft(rfft(x) * rfft(y)) of N = 2**n >= la + lb
+# points. Percival bounds the error of every computed c_k by
 #     ||x|| ||y|| ((1 + eps)^(3n) (1 + eps sqrt(5))^(3n+1) (1 + beta)^(3n) - 1)
 # for unit roundoff eps = 2**-53 and roots of unity within beta of exact;
 # pocketfft's twiddles are within a few units of eps, and beta = 2 eps is
 # taken. Every limb is below 2**w, so ||x|| ||y|| <= sqrt(la lb) (2**w - 1)**2,
-# and la + lb <= N + 1 gives sqrt(la lb) <= (N + 1) / 2. fft_error_bound
-# evaluates this. At w = 12 and N = _MAX_POINTS = 2**15 it is 2**-7.1: under
-# 1/4, so rint returns every c_k exactly, with a factor 2 to spare for the
-# real-input transforms used here, which the theorem (stated for the complex
-# radix-2 transform) does not cover term by term. 16-bit limbs at the same N
-# give 2**0.9, and 12-bit limbs pass 1/4 at 2**20 points. The exact c_k are
-# below (N/2) 2**(2w) = 2**38, so float64 holds them.
-_MUL_LIMIT = 16_000
-_LIMB_BITS = 12
+# and la + lb <= N gives sqrt(la lb) <= N / 2; fft_error_bound evaluates the
+# bound with (N + 1) / 2. At w = 14 and N = _MAX_POINTS = 2**15 it is 2**-3.1
+# (0.116): under 1/4, so rounding returns every c_k exactly, with a factor 2 to
+# spare for the real-input transforms used here, which the theorem (stated
+# for the complex radix-2 transform) does not cover term by term. The largest
+# |c_k - rint(c_k)| seen at 2**15 points is 0.0015 for all-ones operands and
+# 0.0006 for random ones. One bit more loses the factor 2: 15-bit limbs at
+# 2**15 points give 0.46, and 14-bit limbs at 2**16 points 0.248. The exact
+# c_k are at most min(la, lb) (2**w - 1)**2 < (N/2) 2**(2w) = 2**42, so
+# float64 holds them, and so does the uint64 carry fold in _fft_mul.
+_MUL_LIMIT = 18_000
+_LIMB_BITS = 14
 _MAX_POINTS = 1 << 15
 
 
@@ -95,7 +103,7 @@ def _mul_pos(a, b):
     la, lb = a.bit_length(), b.bit_length()
     if lb < _MUL_LIMIT:
         return a * b
-    if 2 * (-(-la // 24) + -(-lb // 24)) - 1 <= _MAX_POINTS:  # the limbs _fft_mul cuts
+    if -(-la // _LIMB_BITS) + -(-lb // _LIMB_BITS) <= _MAX_POINTS:  # the limbs _fft_mul cuts
         return _fft_mul(a, b)
     k = la // 2
     mask = (1 << k) - 1
@@ -112,23 +120,23 @@ def _fft_mul(a, b):
     """a * b for a, b > 0 whose limbs fit one transform of _MAX_POINTS."""
     import numpy as np  # numpy.fft itself loads at the first np.fft access
 
-    la, lb = 2 * -(-a.bit_length() // 24), 2 * -(-b.bit_length() // 24)
-    points = 1 << (la + lb - 2).bit_length()  # the least 2**n >= la + lb - 1
+    la, lb = -(-a.bit_length() // _LIMB_BITS), -(-b.bit_length() // _LIMB_BITS)
+    points = 1 << (la + lb - 1).bit_length()  # the least 2**n >= la + lb
+    shifts = np.arange(0, 56, 14, dtype=np.uint64)[:, None]  # the limbs' offsets in a cell
 
     def transform(v):
-        # 12-bit limbs, least significant first, two per 3-byte cell; each
-        # cell is read as the low 24 bits of a 4-byte word at stride 3
-        raw = v.to_bytes(3 * -(-v.bit_length() // 24) + 1, "little")
-        cells = np.ndarray((len(raw) // 3,), "<u4", raw, strides=(3,))
-        x = np.empty(2 * len(cells))
-        x[0::2] = cells & 0xFFF
-        x[1::2] = cells >> 12 & 0xFFF
-        return np.fft.rfft(x, points)  # zero padded to `points` inside the transform
+        # 14-bit limbs, least significant first, four per 7-byte cell; each
+        # cell is read as the low 56 bits of an 8-byte word at stride 7
+        cells = -(-v.bit_length() // 56)
+        words = np.ndarray((cells,), "<u8", v.to_bytes(7 * cells + 1, "little"), strides=(7,))
+        x = np.empty((cells, 4))
+        np.bitwise_and(words >> shifts, 0x3FFF, out=x.T, casting="unsafe")
+        return np.fft.rfft(x.ravel(), points)  # zero padded to `points` inside the transform
 
-    def join(cells):  # the int whose 3-byte cells hold values below 2**24
-        out = np.empty(3 * len(cells), np.uint8)
-        np.ndarray((len(cells),), "<u2", out, strides=(3,))[...] = cells & 0xFFFF
-        out[2::3] = cells >> 16
+    def join(cells):  # the int whose 7-byte cells hold values below 2**56
+        out = np.empty(7 * len(cells), np.uint8)
+        np.ndarray((len(cells),), "<u4", out, strides=(7,))[...] = cells  # bytes 0-3
+        np.ndarray((len(cells),), "<u4", out, 3, (7,))[...] = cells >> 24  # bytes 3-6
         return int.from_bytes(out, "little")
 
     # in place where possible, and each array dropped once used: at the cap
@@ -137,32 +145,42 @@ def _fft_mul(a, b):
     f *= f if b is a else transform(b)
     c = np.fft.irfft(f, points)
     del f
-    np.rint(c, out=c)
-    # c_k < 2**38 sits at bit 12k, so d_m = c_2m + c_2m+1 * 2**12 < 2**51 (exact
-    # in float64) sits at bit 24m. Folding each d_m's bits 24-47 and 48-50
-    # into the next two cells leaves s_m < 2**25 + 2**3, and folding s_m's
-    # carry leaves s_m < 2**24 + 2: the same sum, in cells that all but
-    # rarely fit in 24 bits. The product is below 2**(12 (la + lb)), so
-    # cells from (la + lb) / 2 on are 0 and nothing folds into them.
-    d = c[1:la + lb:2] * 4096
-    d += c[0:la + lb:2]
-    del c
-    d = d.astype(np.uint64)
-    s = d & 0xFFFFFF
-    d >>= 24
-    s[1:] += d[:-1] & 0xFFFFFF
-    d >>= 24
-    s[2:] += d[:-2]
-    del d
-    carry = s >> 24
-    s &= 0xFFFFFF
-    s[1:] += carry[:-1]
-    del carry
-    over = s >> 24
-    s &= 0xFFFFFF
-    value = join(s)
-    if over.any():
-        value += join(over) << 24
+    # c_k < 2**42 sits at bit 14k. Adding 2**52 rounds each c_k to the
+    # nearest integer, which is c_k itself (error under 1/4), and leaves that
+    # integer in the low 52 bits of the float's bit pattern, so the fold runs
+    # in uint64 on the transform's own buffer. Cell m (bit 56m) takes
+    #     d_m = c_4m + c_4m+1 2**14 + (c_4m+2 mod 2**28) 2**28 + (c_4m+3 mod 2**14) 2**42
+    # below 2**58, and the bits of c_4m+2 and c_4m+3 from 56 up go to cell
+    # m+1 as e_m = (c_4m+2 >> 28) + (c_4m+3 >> 14) < 2**29. Folding the carry
+    # of each d_m + e_m-1 < 2**58 + 2**29 (at most 4) into the next cell
+    # leaves the same sum in cells below 2**56 + 4, which all but rarely fit
+    # in 56 bits; the rare bit 56 is joined apart. The product is below
+    # 2**(14 (la + lb)), so nothing folds out of the last cell.
+    c = c[:4 * -(-(la + lb) // 4)]  # whole cells, all within the transform
+    c += 2.0 ** 52
+    k = c.view(np.uint64).reshape(-1, 4)
+    k &= (1 << 52) - 1  # k[m, j] = c_4m+j
+    d = k[:, 1] << 14
+    d += k[:, 0]
+    e = k[:, 2] & 0xFFFFFFF
+    e <<= 28
+    d += e
+    np.bitwise_and(k[:, 3], 0x3FFF, out=e)
+    e <<= 42
+    d += e
+    np.right_shift(k[:, 2], 28, out=e)
+    k[:, 3] >>= 14
+    e += k[:, 3]
+    del c, k
+    d[1:] += e[:-1]
+    np.right_shift(d, 56, out=e)
+    d &= (1 << 56) - 1
+    d[1:] += e[:-1]
+    np.right_shift(d, 56, out=e)  # the rare bit 56
+    d &= (1 << 56) - 1
+    value = join(d)
+    if e.any():
+        value += join(e) << 56
     return value
 
 

@@ -327,6 +327,7 @@ def int_to_digits(value, base: int, count: int) -> bytes:
 
 _SERIES_ERR = 2
 _SLACK = 32
+_LEAF_TERMS = 32
 
 
 def _quotient(m, t, q):
@@ -347,10 +348,19 @@ def _split(term, lo: int, hi: int):
     S = sum_{lo<=k<hi} a(k) * p(lo)..p(k) / (q(lo)..q(k)), where
     term(k) = (p, q, a), P and Q are the products of p and q over the range,
     and T = Q * S exactly. A denominator b(k) of term k goes into p(k) b(k-1)
-    and q(k) b(k), b(-1) = 1: the ratios telescope to 1/b(k) at term k."""
-    if hi - lo == 1:
-        p, q, a = term(mpz(lo))
-        return p, q, a * p
+    and q(k) b(k), b(-1) = 1: the ratios telescope to 1/b(k) at term k.
+
+    A range of at most _LEAF_TERMS terms is one loop of builtin products,
+    each term combined into the range so far, as _combine would."""
+    if hi - lo <= _LEAF_TERMS:
+        big_p, big_q, a = term(mpz(lo))
+        big_t = a * big_p
+        for k in range(lo + 1, hi):
+            p, q, a = term(mpz(k))
+            big_p *= p
+            big_t = big_t * q + a * big_p
+            big_q *= q
+        return big_p, big_q, big_t
     mid = (lo + hi) // 2
     return _combine(_split(term, lo, mid), _split(term, mid, hi))
 

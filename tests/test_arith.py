@@ -57,12 +57,15 @@ def check_mul(a, b):
 
 class TestMul:
     def test_error_bound(self):
-        # rint recovers a coefficient within 1/2; the cap keeps a factor 2 spare
-        assert fft_error_bound(_LIMB_BITS, _MAX_POINTS) < 1 / 4
+        # rounding recovers a coefficient within 1/2; the width and the cap
+        # keep a factor 2 spare below that: twice the bound stays under 1/4
+        assert 2 * fft_error_bound(_LIMB_BITS, _MAX_POINTS) < 1 / 4
+        # and they are the widest that do: one more bit of limb (0.93) or
+        # twice the points (0.50) would break that rule
+        assert 2 * fft_error_bound(_LIMB_BITS + 1, _MAX_POINTS) >= 1 / 4
+        assert 2 * fft_error_bound(_LIMB_BITS, 2 * _MAX_POINTS) >= 1 / 4
         # 12-bit limbs would stay below 1/4 up to 2**19 points, not 2**20
         assert fft_error_bound(12, 2 ** 19) < 1 / 4 <= fft_error_bound(12, 2 ** 20)
-        # 16-bit limbs at the cap would not
-        assert fft_error_bound(16, _MAX_POINTS) >= 1 / 4
 
     def test_random_operands(self, transform_lengths):
         rng = random.Random(11)
@@ -74,7 +77,7 @@ class TestMul:
         assert transform_lengths and max(transform_lengths) <= _MAX_POINTS
 
     def test_all_ones_operands(self, transform_lengths):
-        # every limb 2**12 - 1 makes every coefficient as large as it can be;
+        # every limb 2**_LIMB_BITS - 1 makes every coefficient as large as it can be;
         # (2**n - 1)(2**m - 1) = 2**(n+m) - 2**n - 2**m + 1
         for n in (_MUL_LIMIT, 100_000, CAP_BITS, CAP_BITS + 1, 1_000_000, 2_500_000):
             ones = (1 << n) - 1
@@ -112,10 +115,10 @@ class TestMul:
             assert bool(transform_lengths) == (bits >= _MUL_LIMIT), bits
 
     def test_sizes_at_the_cap(self, transform_lengths):
-        # limbs come in pairs, one per 24 bits, so CAP_BITS +- 24 are one pair either side
+        # limbs come four to a 7-byte cell, so CAP_BITS +- 56 are one cell either side
         rng = random.Random(15)
-        for bits, split in ((CAP_BITS - 24, False), (CAP_BITS - 12, False), (CAP_BITS, False),
-                            (CAP_BITS + 1, True), (CAP_BITS + 24, True)):
+        for bits, split in ((CAP_BITS - 56, False), (CAP_BITS - 14, False), (CAP_BITS, False),
+                            (CAP_BITS + 1, True), (CAP_BITS + 56, True)):
             del transform_lengths[:]
             a, b = random_bits(rng, bits), random_bits(rng, bits)
             assert py_mul(a, b) == a * b, bits

@@ -27,10 +27,15 @@ included, is the same byte for byte. Sections:
                   `chi_square_uniform` (TooFewSamples included),
                   `exact_equidistribution_probability` and `ascii` with and
                   without a frame
+  large           pi, e, sqrt2 and log2 at 50000, 100012 and 131070 digits
+                  in bases 10 and 11, and the stream of the e class search
+                  (`search --constant e -n 4` with digit classes) read in
+                  4096-digit blocks to 131070 digits: sizes whose products
+                  go through the FFT product, many of them at its cap
 
 Stdlib and sagan only; the inputs are fixed by seeds, so the output depends
-only on the tree. The run time goes to stderr (about 3 s on a 2-vCPU x86
-VM with CPython 3.11.7 and no gmpy2).
+only on the tree. The run time goes to stderr (about 7 s on a 2-vCPU x86
+VM with CPython 3.11.7 and no gmpy2, half of it in the large section).
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from sagan.digits import (ConstantSpec, base_convert, cfrac_digits, decimal_digi
                           digits_in_base, open_stream)
 from sagan.normality import chi_square_uniform, exact_equidistribution_probability, kgram_counts
 from sagan.raster import SCHEMES, rasterize, rasterize_ellipse
-from sagan.search import compile, find_digit, find_first
+from sagan.search import CONTEXT_WIDTH, compile, find_digit, find_first
 
 CONSTANTS = tuple(ConstantSpec.parse(name) for name in (
     "pi", "sqrt2", "log2", "e", "fibonacci-cfrac", "copeland-erdos", "fibonacci-concat",
@@ -330,9 +335,22 @@ def sweep_api():
             lambda: (raster.ascii(), raster.ascii(frame=True)))
 
 
+def sweep_large():
+    for spec in (ConstantSpec.pi(), ConstantSpec.e(), ConstantSpec.sqrt2(), ConstantSpec.log2()):
+        for base in (10, 11):
+            for count in (50_000, 100_012, 131_070):
+                yield spec.identifier(), base, count, outcome(
+                    lambda: digits_in_base(spec, base, count))
+    stream = open_stream(ConstantSpec.e(), 10)  # as `sagan search` opens it, limit 200000
+    stream.reserve(200_000 + CONTEXT_WIDTH)
+    while stream.cursor <= 131_070:
+        count = min(stream.block_size, 131_071 - stream.cursor)
+        yield "e search stream", stream.cursor, count, outcome(lambda: stream.take(count))
+
+
 SECTIONS = (("digits_in_base", sweep_digits_in_base), ("streams", sweep_streams),
             ("cfrac_digits", sweep_cfrac), ("base_convert", sweep_base_convert),
-            ("cli", sweep_cli), ("api", sweep_api))
+            ("cli", sweep_cli), ("api", sweep_api), ("large", sweep_large))
 
 
 def main() -> int:
