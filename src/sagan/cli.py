@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--cache", action="store_true", help="reuse/extend the digit cache file")
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", default=None, help="cache directory; implies --cache")
 
     p = sub.add_parser("circle", help="render a digital n-circle")
     p.add_argument("-n", type=int, required=True)
@@ -149,14 +149,13 @@ def cmd_digits(args) -> int:
         print("count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     ident = spec.identifier()
-    digits = b""
-    if args.cache:
-        cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-        path = cache_mod.cache_path(cache_dir, ident, args.base)
+    digits, path = b"", None
+    if args.cache or args.cache_dir:  # a cache directory implies --cache
+        path = cache_mod.cache_path(Path(args.cache_dir or default_cache_dir()), ident, args.base)
         digits = cache_mod.read_cache(path, args.base, ident)
     if len(digits) < args.count:  # no cache, a miss, or too short a hit
         digits = digits_in_base(spec, args.base, args.count).data
-        if args.cache:
+        if path:
             cache_mod.write_cache(path, args.base, ident, digits)
     print(digit_glyphs(digits[:args.count]))
     return EXIT_OK
@@ -205,9 +204,6 @@ def _render_search_text(result, n: int) -> str:
 
 def cmd_search(args) -> int:
     spec = ConstantSpec.parse(args.constant)
-    if args.limit < 1:
-        print("limit must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     if not 1 <= args.n <= MAX_SIDE:
         print(f"n must be in 1..{MAX_SIDE}", file=sys.stderr)
         return EXIT_USAGE
@@ -238,9 +234,6 @@ def cmd_bbp(args) -> int:
         print(f"{args.constant} digit extraction works in base {formula.base}",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.position < 1 or args.count < 1:
-        print("position and count must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     block, guard = bbp_mod.digit_extract_info(formula, args.position, args.count)
     print(f"{digit_glyphs(block.data)} (guard bits: {guard})")
     return EXIT_OK
@@ -264,9 +257,6 @@ def cmd_normality(args) -> int:
 
 def cmd_estimate(args) -> int:
     window = args.window if args.window is not None else args.n * args.n
-    if window < 1:
-        print("window must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     digits = search_mod.expected_position(args.base, window)
     est = search_mod.cost_estimate(digits, args.ns_per_digit)
     if args.format == "json":

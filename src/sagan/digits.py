@@ -8,6 +8,7 @@ reach them. Emitted digits are truncations of the true value, never rounded.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass
@@ -451,23 +452,16 @@ def _sqrt2_source(base: int):
 
 def _e_source(base: int):
     # e = sum_k 1/k!; the tail past N >= 2 terms is below 3/(2 N!), and N! > 2 * scale
-    # once lgamma(N + 1) clears ln(scale) + 1 (ln 2 plus float slack): under 3/4 unit
+    # once lgamma(N + 1) clears target = ln(scale) + 1 (ln 2 plus float slack): under 3/4 unit.
+    # N is the least n >= 2 with lgamma(n + 1) = ln n! > target, ln n! rising with n.
+    # ln n! > n for n >= 6 (ln 6! = 6.58), so the range's last n, int(target) + 15 > target,
+    # has ln n! > target: bisect_right counts the n below N, and N lies in the range.
     series = _series(lambda k: (1, k or 1, 1))
-    terms = 2  # the last call's term count; later calls search up from it
 
     def scaled(prec: int):
-        nonlocal terms
         target = prec * math.log(base) + 1
-        if math.lgamma(terms + 1) <= target:  # gallop up, then bisect
-            step = 1
-            while math.lgamma(terms + step + 1) <= target:
-                terms, step = terms + step, 2 * step
-            while step > 1:  # lgamma(terms + 1) <= target < lgamma(terms + step + 1)
-                step //= 2
-                if math.lgamma(terms + step + 1) <= target:
-                    terms += step
-            terms += 1
-        _, q, t = series(terms)
+        _, q, t = series(bisect.bisect_right(range(2, int(target) + 16), target,
+                                             key=lambda n: math.lgamma(n + 1)) + 2)
         scale = _powers(base)(prec)
         return _quotient(scale, t, q) - 2 * scale, _SERIES_ERR
     return scaled
@@ -647,10 +641,8 @@ def _concat_chunks(spec: ConstantSpec) -> Iterator[bytes]:
         if f.bit_length() < 12000:  # str() refuses ints past 4300 digits
             yield _decimal_bytes((f,))
         else:
-            width = int(f.bit_length() * math.log10(2)) + 1
-            while mpz(10) ** width <= f:
-                width += 1
-            yield int_to_digits(f, 10, width).lstrip(b"\0")
+            # f < 2**bits has at most floor(bits log10 2) + 1 digits; one more covers float error
+            yield int_to_digits(f, 10, int(f.bit_length() * math.log10(2)) + 2).lstrip(b"\0")
 
 
 def _dropping_source(chunks: Iterator[bytes]):
@@ -710,7 +702,7 @@ def _prefix_powers(count: int, base: int, src: int):
     S >= B, so that `need` source digits bound `count` target digits. From a
     float estimate, S is corrected up and down exactly, each power built once."""
     need = int(count * math.log(base) / math.log(src)) + 1
-    big, scale = mpz(base) ** count, mpz(src) ** need
+    big, scale = _powers(base)(count), _powers(src)(need)
     while scale < big:
         need, scale = need + 1, scale * src
     while need > 1 and scale // src >= big:
@@ -828,6 +820,8 @@ def digits_in_base(constant: ConstantSpec, base: int, count: int,
     _check_base(base)
     if count < 1:
         raise ValueError("count must be >= 1")
+    if guard < 0:
+        raise ValueError("guard must be >= 0")
     stream = DigitStream(constant, base, count)
     stream._guard = guard
     stream.reserve(count)

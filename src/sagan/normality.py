@@ -87,8 +87,7 @@ def kgram_counts(digits: DigitBlock, k: int) -> KGramCounts:
         cells, where = np.unique(np.concatenate([c for c, _ in found]), return_inverse=True)
         hits = np.zeros(len(cells), dtype=np.int64)
         np.add.at(hits, where, np.concatenate([h for _, h in found]))
-    columns = [cells // base ** (k - 1 - i) % base for i in range(k)]
-    grams = map(tuple, np.stack(columns, axis=1).tolist())
+    grams = zip(*(c.tolist() for c in np.unravel_index(cells, (base,) * k)))
     return KGramCounts(base, k, n, dict(zip(grams, hits.tolist())))
 
 

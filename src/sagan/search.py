@@ -173,21 +173,16 @@ def find_digit(stream: DigitStream, digit: int, limit: int) -> SearchResult:
 # estimators
 
 def expected_position(base: int, window_length: int) -> Decimal:
-    """base**window_length as a Decimal with exact base-10 exponent and a
-    mantissa good to well over 6 significant digits."""
+    """base**window_length as a Decimal rounded to 40 significant digits."""
     if base < 2:
         raise BaseTooSmall(f"base {base} < 2")
     if window_length < 1:
         raise ValueError("window_length must be >= 1")
-    ctx = decimal.Context(prec=60, Emax=_CTX.Emax, Emin=_CTX.Emin)
-    log10_base = ctx.divide(ctx.ln(Decimal(base)), ctx.ln(Decimal(10)))
-    e = ctx.multiply(Decimal(window_length), log10_base)
-    exponent = int(e)
-    if exponent > _CTX.Emax:
+    try:
+        return _CTX.power(Decimal(base), window_length)
+    except decimal.Overflow:
         raise ValueError(f"base**window_length is at least 10**{_CTX.Emax + 1}, "
-                         "past decimal.MAX_EMAX")
-    mantissa = ctx.power(Decimal(10), ctx.subtract(e, Decimal(exponent)))
-    return _CTX.plus(ctx.scaleb(mantissa, Decimal(exponent)))
+                         "past decimal.MAX_EMAX") from None
 
 
 def class_frequency_gain(matcher: CompiledMatcher) -> int:

@@ -126,6 +126,12 @@ class TestCacheFlow:
         assert err.startswith("cache error:") and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
+    def test_cache_dir_alone_caches_there(self, capsys, tmp_path):
+        argv = ("digits", "--constant", "pi", "--count", "6", "--cache-dir", str(tmp_path))
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and out == "141592\n"
+        assert read_cache(cache_path(tmp_path, "pi", 10), 10, "pi") == bytes([1, 4, 1, 5, 9, 2])
+
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SAGAN_CACHE_DIR", str(tmp_path))
         code, _, _ = run(capsys, "digits", "--constant", "e", "--count", "5", "--cache")
@@ -353,6 +359,12 @@ class TestUsageErrors:
          "width and height must be in 1..4096"),
         (("digits", "--constant", "champernowne300", "--count", "900"),
          "error: champernowne base must be in 2..256"),
+        (("search", "--constant", "pi", "-n", "2", "--limit", "0"),
+         "error: limit 0 < window length 4"),
+        (("bbp", "--position", "0"), "error: position is 1-indexed"),
+        (("bbp", "--position", "5", "--count", "0"), "error: count must be >= 1"),
+        (("estimate", "--base", "10", "--window", "0"), "error: window_length must be >= 1"),
+        (("estimate", "--base", "10", "-n", "0"), "error: window_length must be >= 1"),
     ])
     def test_bad_argument_exits_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -228,6 +228,12 @@ class TestDigitsInBase:
         with pytest.raises(ValueError):
             digits_in_base(PI, 10, 0)
 
+    @pytest.mark.parametrize("guard", [-1, -4])
+    def test_rejects_a_negative_guard(self, guard):
+        # else _certify raises it to a usable band one unit at a time
+        with pytest.raises(ValueError, match="guard must be >= 0"):
+            digits_in_base(PI, 10, 6, guard=guard)
+
 
 class TestBaseConvert:
     def test_half_to_binary_with_zero_guard(self):
@@ -931,17 +937,49 @@ class TestGrowingSources:
                        for test in tests for node in ast.walk(test))
         assert set(_SOURCES) == {"pi", "e", "sqrt2", "log2", "fibonacci-cfrac"}
 
-    def test_e_stream_term_search_starts_from_the_last_count(self, monkeypatch):
+    def test_e_stream_term_search_is_a_bisection(self, monkeypatch):
         calls = []
         lgamma = math.lgamma
         monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
         total, block = 131072, 4096
         stream = open_stream(ConstantSpec.e(), 10, block)
         got = b"".join(stream.next_block().data for _ in range(total // block))
-        # a few refills, each a galloping search of about 2 log2(terms) steps;
-        # a search that restarts at 2 makes tens of thousands of calls
+        # a few refills, each a bisection of about log2(prec ln base) steps;
+        # a linear search from 2 makes tens of thousands of calls
         assert len(calls) <= 200, len(calls)
         assert got == digits_in_base(ConstantSpec.e(), 10, total).data
+
+    def test_e_term_count_is_the_least_past_its_bound(self, monkeypatch):
+        # N terms leave a tail under 3/(2 N!), so N! > 2 base**prec certifies.
+        # The float target ln(base**prec) + 1 asks for N! > e base**prec, so
+        # N - 1 terms may pass 2 base**prec but not 3 base**prec. N depends on
+        # (base, prec) alone, falling precisions included, and a source's
+        # series keeps the terms of its largest call.
+        asked, held = [], []
+        series = digits_module._series
+
+        def spied(term):
+            upto = series(term)
+            return lambda n: asked.append(n) or held.append(upto(n)) or held[-1]
+
+        monkeypatch.setattr(digits_module, "_series", spied)
+
+        def check(base, prec):
+            n, scale = asked[-1], base ** prec
+            assert math.factorial(n) > 2 * scale and math.factorial(n - 1) < 3 * scale, \
+                (base, prec, n)
+
+        rng = random.Random(33)
+        for _ in range(200):
+            base, prec = rng.randint(2, 256), rng.choice((rng.randint(1, 40),
+                                                          rng.randint(1, 3000)))
+            _SOURCES["e"](base)(prec)
+            check(base, prec)
+        source, held[:] = _SOURCES["e"](11), []
+        for prec in (3000, 2999, 700, 41, 40, 2, 1):
+            source(prec)
+            check(11, prec)
+        assert all(state is held[0] for state in held)
 
     @pytest.mark.parametrize("spec", SERIES, ids=ConstantSpec.identifier)
     def test_held_state_stays_bounded(self, spec):

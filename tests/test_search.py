@@ -25,6 +25,7 @@ from sagan.search import (
     find_digit,
     find_first,
     result_record,
+    _CTX,
 )
 
 PI = ConstantSpec.pi()
@@ -470,10 +471,19 @@ class TestExpectedPosition:
             oracle = int(mpmath.floor(window * mpmath.log(11, 10)))
         assert value.adjusted() == oracle == 208862410086
 
+    def test_correctly_rounded_to_40_digits(self):
+        for base in range(2, 257):
+            for length in range(1, 65):
+                assert expected_position(base, length) == _CTX.plus(Decimal(base ** length))
+
     def test_past_the_decimal_exponent_limit(self):
         assert expected_position(10, decimal.MAX_EMAX).adjusted() == decimal.MAX_EMAX
         with pytest.raises(ValueError, match="MAX_EMAX"):
             expected_position(10, decimal.MAX_EMAX + 1)
+        # 2**3321928094887362347 = 5.47e999999999999999999, the last power of 2 below the limit
+        assert expected_position(2, 3321928094887362347).adjusted() == decimal.MAX_EMAX
+        with pytest.raises(ValueError, match="MAX_EMAX"):
+            expected_position(2, 3321928094887362348)
         with pytest.raises(ValueError, match="MAX_EMAX"):
             expected_position(2, 10 ** 30)
         with pytest.raises(ValueError, match="MAX_EMAX"):

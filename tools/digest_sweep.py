@@ -25,8 +25,13 @@ included, is the same byte for byte. Sections:
                   and a base-10 formula, `find_digit`, `find_first` over
                   `open_stream` at the default and explicit block sizes,
                   `chi_square_uniform` (TooFewSamples included),
-                  `exact_equidistribution_probability` and `ascii` with and
-                  without a frame
+                  `exact_equidistribution_probability`, `ascii` with and
+                  without a frame, `expected_position` for bases 2, 3, 10,
+                  11, 16, 255 and 256 at windows 1, 2, 16, 2048 and 4096**2
+                  and on either side of decimal.MAX_EMAX (each value as its
+                  40 significant digits: an exact power may come back with
+                  or without trailing zeros), and `cost_estimate` with int,
+                  Fraction and Decimal inputs
   large           pi, e, sqrt2 and log2 at 50000, 100012 and 131070 digits
                   in bases 10 and 11, and the stream of the e class search
                   (`search --constant e -n 4` with digit classes) read in
@@ -41,6 +46,7 @@ VM with CPython 3.11.7 and no gmpy2, half of it in the large section).
 from __future__ import annotations
 
 import contextlib
+import decimal
 import hashlib
 import io
 import math
@@ -52,6 +58,7 @@ import tempfile
 import time
 import zlib
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,7 +69,8 @@ from sagan.digits import (ConstantSpec, base_convert, cfrac_digits, decimal_digi
                           digits_in_base, open_stream)
 from sagan.normality import chi_square_uniform, exact_equidistribution_probability, kgram_counts
 from sagan.raster import SCHEMES, rasterize, rasterize_ellipse
-from sagan.search import CONTEXT_WIDTH, compile, find_digit, find_first
+from sagan.search import (CONTEXT_WIDTH, compile, cost_estimate, expected_position, find_digit,
+                          find_first)
 
 CONSTANTS = tuple(ConstantSpec.parse(name) for name in (
     "pi", "sqrt2", "log2", "e", "fibonacci-cfrac", "copeland-erdos", "fibonacci-concat",
@@ -251,7 +259,8 @@ def cli_argvs(tmp: Path):
         yield ["normality", *normality, "--format", "json"]
     for estimate in (["--base", "10", "-n", "2"], ["--base", "11", "-n", "45"],
                      ["--base", "2", "--window", "5", "--ns-per-digit", "3/2"],
-                     ["--base", "10", "--window", "0"], ["--base", "1", "-n", "2"],
+                     ["--base", "10", "--window", "0"], ["--base", "10", "-n", "0"],
+                     ["--base", "1", "-n", "2"],
                      ["--base", "10", "-n", "2", "--window", "4"]):
         yield ["estimate", *estimate]
         yield ["estimate", *estimate, "--format", "json"]
@@ -333,6 +342,17 @@ def sweep_api():
     for raster in rasters:
         yield "ascii", raster.width, raster.flat(), outcome(
             lambda: (raster.ascii(), raster.ascii(frame=True)))
+    windows = [(base, length) for base in (2, 3, 10, 11, 16, 255, 256)
+               for length in (1, 2, 16, 2048, 4096 ** 2)]
+    windows += [(10, decimal.MAX_EMAX), (10, decimal.MAX_EMAX + 1),  # 10**MAX_EMAX fits
+                (2, 3321928094887362347), (2, 3321928094887362348), (1, 5), (10, 0)]
+    for base, length in windows:
+        yield "expected_position", base, length, outcome(
+            lambda: f"{expected_position(base, length):.39E}")
+    for digits in (10 ** 4, Fraction(10 ** 40, 3), Decimal("5.919E+2132"),
+                   Decimal("1E+999999999999999999"), 0):
+        for ns in (1, 7, Fraction(3, 2), Decimal("0.25"), Decimal("1E+9"), -1):
+            yield "cost_estimate", digits, ns, outcome(lambda: cost_estimate(digits, ns))
 
 
 def sweep_large():
