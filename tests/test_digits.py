@@ -960,7 +960,12 @@ class TestGrowingSources:
 
         def spied(term):
             upto = series(term)
-            return lambda n: asked.append(n) or held.append(upto(n)) or held[-1]
+
+            def recording(n):
+                asked.append(n)
+                held.append(upto(n))
+                return held[-1]
+            return recording
 
         monkeypatch.setattr(digits_module, "_series", spied)
 
