@@ -1,10 +1,10 @@
 """The big-integer backend: the one module that decides between gmpy2 and int.
 
-With gmpy2 installed, `mpz` and `isqrt` are gmpy2's and `divmod` and `mul`
-are the builtin operators, which gmpy2 makes subquadratic for mpz operands.
-Without it, `mpz` is `int`, and since CPython's int multiplication is
-Karatsuba and its division and `math.isqrt` are quadratic, `mul`, `divmod`
-and `isqrt` are exact pure-Python replacements:
+The backend names are `mpz`, `mul` and `divmod`. With gmpy2 installed, `mpz`
+is gmpy2's and `divmod` and `mul` are the builtin operators, which gmpy2
+makes subquadratic for mpz operands. Without it, `mpz` is `int`, and since
+CPython's int multiplication is Karatsuba and its division is quadratic,
+`mul` and `divmod` are exact pure-Python replacements:
 
 - `py_mul`: a float64 FFT product once both operands have at least
   `_MUL_LIMIT` bits, with transforms of at most `_MAX_POINTS` points and
@@ -13,9 +13,7 @@ and `isqrt` are exact pure-Python replacements:
   the radix conversion goes through `mul`;
 - `py_divmod`: recursive division (Burnikel & Ziegler 1998; Brent &
   Zimmermann, *Modern Computer Arithmetic*, 1.4.3), same results as the
-  builtin for every sign, its products taken by `py_mul`;
-- `py_isqrt`: recursive integer square root, one Newton step per level
-  with its division done by `py_divmod`, same results as `math.isqrt`.
+  builtin for every sign, its products taken by `py_mul`.
 
 The FFT product's cutoff and cap were timed on CPython 3.11.7 (x86,
 2 vCPU). The cutoff was timed again for 14-bit limbs in October 2026
@@ -30,10 +28,9 @@ points ran 5-7% faster and raised peak memory by a further 0.9-1.2 MB, and
 imported at the first transform, so a run whose products all stay below
 the cutoff never loads it.
 
-The division and square root leave small cases to the builtins: divisions
-whose quotient or divisor has at most `_DIV_LIMIT` bits, which then cost
-time linear in the operand size, and square roots of at most
-2 * `_DIV_LIMIT` bits. Timed on CPython 3.11.7 (x86, 2 vCPU), 2n-by-n-bit
+The division leaves small cases to the builtin: divisions whose quotient or
+divisor has at most `_DIV_LIMIT` bits, which then cost time linear in the
+operand size. Timed on CPython 3.11.7 (x86, 2 vCPU), 2n-by-n-bit
 divisions run as fast as the builtin's near the limit for any limit from
 2000 to 6000 bits, and 8x faster at n = 10**6.
 """
@@ -244,34 +241,11 @@ def _div3n2n(a_hi, a_lo, b, b_hi, b_lo, half):
     return q, r
 
 
-def py_isqrt(n):
-    """math.isqrt(n) for ints, by recursion on the top half of n's bits."""
-    x = _isqrt_upper(n)
-    return x - 1 if py_mul(x, x) > n else x
-
-
-def _isqrt_upper(n):
-    """x with isqrt(n) <= x <= isqrt(n) + 1; math.isqrt raises for n < 0.
-
-    With n of L bits, k <= (L - 5) / 4 and r within one above isqrt(n >> 2k),
-    x0 = (r + 1) * 2**k lies in [sqrt(n), sqrt(n) + 2**(k+1)]. One integer
-    Newton step from above never falls below isqrt(n) and leaves an excess
-    of at most (x0 - sqrt(n))**2 / (2 sqrt(n)) <= 2**(2k + 1 - (L-1)/2) <= 1/2.
-    """
-    bits = n.bit_length()
-    if bits <= 2 * _DIV_LIMIT:  # the Newton division would be a builtin one
-        return math.isqrt(n)
-    k = (bits - 5) // 4
-    x = (_isqrt_upper(n >> 2 * k) + 1) << k
-    return (x + py_divmod(n, x)[0]) >> 1
-
-
 try:
-    from gmpy2 import isqrt, mpz
+    from gmpy2 import mpz
     divmod = _divmod
     mul = operator.mul
 except ImportError:
     mpz = int
     divmod = py_divmod
     mul = py_mul
-    isqrt = py_isqrt

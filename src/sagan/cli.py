@@ -146,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_digits(args) -> int:
     spec = ConstantSpec.parse(args.constant)
     if args.count < 1:
-        print("count must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("count must be >= 1")
     ident = spec.identifier()
     digits, path = b"", None
     if args.cache or args.cache_dir:  # a cache directory implies --cache
@@ -163,8 +162,7 @@ def cmd_digits(args) -> int:
 
 def cmd_circle(args) -> int:
     if not 1 <= args.n <= MAX_SIDE:
-        print(f"n must be in 1..{MAX_SIDE}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"n must be in 1..{MAX_SIDE}")
     pattern = rasterize(args.n, args.scheme, args.radius)
     if args.flat:
         print(pattern.flat())
@@ -175,8 +173,7 @@ def cmd_circle(args) -> int:
 
 def cmd_ellipse(args) -> int:
     if not (1 <= args.width <= MAX_SIDE and 1 <= args.height <= MAX_SIDE):
-        print(f"width and height must be in 1..{MAX_SIDE}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"width and height must be in 1..{MAX_SIDE}")
     raster = rasterize_ellipse(args.a, args.b, args.width, args.height)
     print(raster.flat() if args.flat else raster.ascii())
     return EXIT_OK
@@ -205,11 +202,9 @@ def _render_search_text(result, n: int) -> str:
 def cmd_search(args) -> int:
     spec = ConstantSpec.parse(args.constant)
     if not 1 <= args.n <= MAX_SIDE:
-        print(f"n must be in 1..{MAX_SIDE}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"n must be in 1..{MAX_SIDE}")
     if not 0 <= args.context_width <= MAX_CONTEXT_WIDTH:
-        print(f"context width must be in 0..{MAX_CONTEXT_WIDTH}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"context width must be in 0..{MAX_CONTEXT_WIDTH}")
     if (args.p_set is None) != (args.q_set is None):
         print("give both --circle-digits and --background-digits or neither",
               file=sys.stderr)

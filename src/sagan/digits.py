@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _arith
-from ._arith import isqrt, mpz, mul
+from ._arith import mpz, mul
 from .errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -312,10 +312,10 @@ def int_to_digits(value, base: int, count: int) -> bytes:
 # q' >= 2**(bl(m) + _SLACK - 1) > |m| 2**(_SLACK - 1) take that under
 #     2**(1 - _SLACK) (1 + |t/q| + 2**(1 - _SLACK)) < 2**(3 - _SLACK) = 2**-29
 # for |t/q| < e, so each division is off by under 1 + 2**-29. The callers:
-# - pi, _quotient(426880 R, Q, T), R = isqrt(10005 scale**2): T/Q, the partial
-#   Chudnovsky sum, is over 1.3e7 > 2**23, so |t/q| < 2**-23; with R's error
-#   (< 1 unit times 426880 Q/T < 0.04) and a tail far below one unit, X stays
-#   within err = 2.
+# - pi, _quotient(426880 R, Q, T), R = _isqrt_scaled(10005, scale), the exact
+#   isqrt(10005 scale**2): T/Q, the partial Chudnovsky sum, is over 1.3e7 > 2**23,
+#   so |t/q| < 2**-23; with R's error (a floor, < 1 unit, times 426880 Q/T
+#   < 0.04) and a tail far below one unit, X stays within err = 2.
 # - e, _quotient(scale, T, Q): T/Q < e, and the tail is under 3/4 unit: err = 2.
 # - a part of _linear_sum, _quotient(c scale, T, d Q): T/(d Q) < 1/(1 - 1/r) <= 2.
 #
@@ -399,26 +399,48 @@ def _linear_sum(parts, base: int):
     return scaled
 
 
-def _root(c: int, base: int):
-    """root(prec, scale) = isqrt(n), n = c * scale**2, scale = base**prec, c not
-    a square. From root r at prec0 <= prec <= 2 prec0, d = prec - prec0, the
-    irrational sqrt(n) lies below x0 = (r + 1) * base**d by e0 in (0, base**d);
-    one Newton step (x0 + n // x0) // 2 = floor((x0 + n/x0) / 2) is >= sqrt(n)
-    and above it by e0**2 / (2 x0) < base**(2d) / (2 scale) < 1: isqrt(n) + 0|1."""
-    prec0, r = math.inf, 0  # the last prec and root
+# Square roots by products only (Brent & Zimmermann, *Modern Computer
+# Arithmetic*, 3.5). _rsqrt(c, k) = Y approximates v = 2**k / sqrt(c) for an
+# int 1 <= c < 2**40. For k <= 50, v <= 2**50 and the float quotient is within
+# 2**50 * 2**-52 = 1/4 of v, so its rounding is within 3/4. Above that, Y comes
+# from Y_h = v_h (1 + d), v_h = 2**h / sqrt(c) > 2**8, |d| < 2 / v_h, at
+# 28 <= h = (k + bl(c)) // 2 + 2 < k, by one Newton step for 1/sqrt(c),
+#     Y = Y_h 2**(k-h) + Y_h (2**(2h) - c Y_h**2) / 2**(3h-k+1) = v (1 + d'),
+# floored, with d' = -(3/2) d**2 - d**3 / 2 <= 0. As 2h >= k + bl(c) + 3 and
+# sqrt(c) < 2**(bl(c)/2), v |d'| < 6 sqrt(c) 2**(k-2h) (1 + |d|/3)
+# < 0.76 2**(-bl(c)/2) < 0.54, so with the floor v - 2 < Y <= v after a step.
+# 2**(2h) - c Y_h**2 has about h bits, so a step costs two products of about
+# h bits, and the chain less than two products of k bits.
+#
+# _isqrt_scaled(c, scale) takes k = bl(scale) + bl(c) + 4 and r = floor(c Y scale
+# / 2**k), which is off from sqrt(n) = sqrt(c) scale, n = c scale**2, by under
+# 2 c scale / 2**k < 1/8 before the floor: r is isqrt(n) - 1, isqrt(n) or (from
+# a float Y above v) isqrt(n) + 1. One square sq = r**2 steps r to isqrt(n),
+# each step moving sq by 2r +- 1, so r is exact whatever the bound.
 
-    def root(prec: int, scale):
-        nonlocal prec0, r
-        n = c * mul(scale, scale)
-        if prec0 <= prec <= 2 * prec0:
-            x = mul(r + 1, _powers(base)(prec - prec0))
-            x = (x + _arith.divmod(n, x)[0]) >> 1
-            r = x - (mul(x, x) > n)
-        else:
-            r = isqrt(n)
-        prec0 = prec
-        return r
-    return root
+
+def _rsqrt(c: int, k: int):
+    """2**k / sqrt(c), under 2 units off, for an int 1 <= c < 2**40 (above)."""
+    if k <= 50:
+        return round(2.0 ** k / math.sqrt(c))
+    h = (k + c.bit_length()) // 2 + 2
+    y = _rsqrt(c, h)
+    return (y << (k - h)) + (mul(y, (1 << 2 * h) - c * mul(y, y)) >> (3 * h - k + 1))
+
+
+def _isqrt_scaled(c: int, scale):
+    """isqrt(c * scale**2) for ints 1 <= c < 2**40 and scale >= 1, by products
+    only (derived above)."""
+    k = scale.bit_length() + c.bit_length() + 4
+    r = mul(c * _rsqrt(c, k), scale) >> k
+    n, sq = c * mul(scale, scale), mul(r, r)
+    while sq > n:
+        r -= 1
+        sq -= 2 * r + 1
+    while sq + 2 * r + 1 <= n:
+        sq += 2 * r + 1
+        r += 1
+    return r
 
 
 def _chudnovsky_term(k):
@@ -432,21 +454,19 @@ def _chudnovsky_term(k):
 def _pi_source(base: int):
     # p(k)/q(k) < 72/10939058860032000 < 10**-14.18 and a(k) grows linearly,
     # so N >= prec*log10(base)/14 + 1 terms leave a tail far below one unit.
-    series, root = _series(_chudnovsky_term), _root(10005, base)
+    series = _series(_chudnovsky_term)
 
     def scaled(prec: int):
         _, q, t = series(max(2, int(prec * math.log10(base) / 14) + 2))
         scale = _powers(base)(prec)
-        return _quotient(426880 * root(prec, scale), q, t) - 3 * scale, _SERIES_ERR
+        return _quotient(426880 * _isqrt_scaled(10005, scale), q, t) - 3 * scale, _SERIES_ERR
     return scaled
 
 
 def _sqrt2_source(base: int):
-    root = _root(2, base)
-
     def scaled(prec: int):
         scale = _powers(base)(prec)
-        return root(prec, scale) - scale, 1
+        return _isqrt_scaled(2, scale) - scale, 1
     return scaled
 
 

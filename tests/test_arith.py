@@ -1,11 +1,10 @@
 """Exactness of the pure-Python big-integer fallback in sagan._arith.
 
 The fallback functions are called directly, so these tests cover them
-whether or not gmpy2 is installed. Oracles are the builtin *, divmod,
-math.isqrt and str().
+whether or not gmpy2 is installed. Oracles are the builtin *, divmod and
+str().
 """
 
-import math
 import random
 import sys
 
@@ -14,7 +13,7 @@ import pytest
 
 from sagan import _arith
 from sagan._arith import (_DIV_LIMIT, _LIMB_BITS, _MAX_POINTS, _MUL_LIMIT, fft_error_bound,
-                          py_divmod, py_isqrt, py_mul)
+                          py_divmod, py_mul)
 from sagan.digits import digits_to_int, int_to_digits
 
 SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -166,28 +165,6 @@ class TestDivmod:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             py_divmod(1 << 20_000, 0)
-
-
-class TestIsqrt:
-    def test_random_inputs(self):
-        rng = random.Random(8)
-        for _ in range(60):
-            n = rng.getrandbits(rng.randrange(1, 300_000))
-            assert py_isqrt(n) == math.isqrt(n), n.bit_length()
-
-    def test_squares_and_neighbours(self):
-        rng = random.Random(9)
-        for bits in (1, 2, _DIV_LIMIT - 1, _DIV_LIMIT, _DIV_LIMIT + 1,
-                     _DIV_LIMIT + 3, 4 * _DIV_LIMIT, 50_001, 100_000):
-            k = random_bits(rng, bits)
-            for n in (k * k - 1, k * k, k * k + 1, (k + 1) ** 2 - 1):
-                assert py_isqrt(n) == math.isqrt(n), (bits, n - k * k)
-
-    def test_small_and_negative(self):
-        assert [py_isqrt(n) for n in range(10)] == [math.isqrt(n) for n in range(10)]
-        for n in (-1, -(1 << 50_000)):
-            with pytest.raises(ValueError):
-                py_isqrt(n)
 
 
 class TestRadixConversion:

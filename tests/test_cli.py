@@ -365,11 +365,17 @@ class TestUsageErrors:
         (("bbp", "--position", "5", "--count", "0"), "error: count must be >= 1"),
         (("estimate", "--base", "10", "--window", "0"), "error: window_length must be >= 1"),
         (("estimate", "--base", "10", "-n", "0"), "error: window_length must be >= 1"),
+        (("digits", "--constant", "pi", "--count", "0"), "error: count must be >= 1"),
+        (("circle", "-n", "0"), "error: n must be in 1..4096"),
+        (("search", "--constant", "pi", "-n", "2", "--limit", "100", "--context-width", "-1"),
+         "error: context width must be in 0..10000"),
     ])
     def test_bad_argument_exits_two(self, capsys, argv, message):
+        # every usage error, the CLI's own checks included, reaches stderr as
+        # `error: <message>` through main
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
-        assert message in err
+        assert err.startswith("error: ") and message in err
 
 
 class TestErrorExitCodes:

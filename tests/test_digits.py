@@ -30,7 +30,8 @@ from sagan.digits import (
 from sagan import _arith, bbp
 from sagan import digits as digits_module
 from sagan.digits import (DEFAULT_GUARD, _SOURCES, _certify, _computed, _concat_scaled,
-                          _linear_sum, _prefix_powers, _quotient, _root, _series, _split)
+                          _isqrt_scaled, _linear_sum, _prefix_powers, _quotient, _series,
+                          _split)
 from sagan.errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -1084,29 +1085,64 @@ class TestBinarySplitting:
 
 
 class TestSeededRoot:
-    """_root seeds a Newton step from its last root when prec at most
-    doubles, and takes a full isqrt otherwise."""
+    """_isqrt_scaled(c, scale) = isqrt(c * scale**2) from a float-seeded chain
+    of Newton steps for 2**k / sqrt(c), by products only; every square root
+    the pi and sqrt 2 sources take, at the precisions a stream asks for."""
+
+    CS = (2, 3, 10005, 2 ** 31 - 1)
+    BASES = (2, 3, 10, 11, 16, 255, 256)
 
     @pytest.mark.parametrize("c,base", [(2, 2), (2, 10), (2, 256), (10005, 10), (10005, 11)])
-    def test_matches_isqrt(self, c, base, monkeypatch):
-        full = []
-        monkeypatch.setattr(digits_module, "isqrt", lambda n: full.append(n) or math.isqrt(n))
-        for prec0, prec in ((1, 2), (1, 3), (2, 3), (40, 41), (40, 80), (40, 81),
-                            (999, 1000), (1000, 2000), (1000, 2001), (777, 1553)):
-            root = _root(c, base)
-            assert root(prec0, base ** prec0) == math.isqrt(c * base ** (2 * prec0))
-            full.clear()
-            assert root(prec, base ** prec) == math.isqrt(c * base ** (2 * prec)), (prec0, prec)
-            assert bool(full) == (prec > 2 * prec0), (prec0, prec)
+    def test_matches_isqrt(self, c, base):
+        for pair in ((1, 2), (1, 3), (2, 3), (40, 41), (40, 80), (40, 81),
+                     (999, 1000), (1000, 2000), (1000, 2001), (777, 1553)):
+            for prec in pair:
+                scale = base ** prec
+                assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale), (c, base, prec)
 
     def test_chain_of_seeded_roots(self):
         rng = random.Random(3)
         for c, base in ((2, 10), (10005, 11), (2, 3)):
-            root, prec = _root(c, base), 1
+            prec = 1
             while prec < 5000:
                 prec = rng.randint(prec, 2 * prec)
                 scale = base ** prec
-                assert root(prec, scale) == math.isqrt(c * scale * scale), (c, base, prec)
+                assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale), (c, base, prec)
+
+    def test_every_small_precision(self):
+        # k <= 50 takes the float seed alone, and the first Newton steps
+        # start from it; (2, 2, 29) and (10005, 10, 3) step r down
+        for c in self.CS:
+            for base in self.BASES:
+                for prec in range(1, 65):
+                    scale = base ** prec
+                    assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale), (
+                        c, base, prec)
+
+    def test_random_precisions(self):
+        rng = random.Random(34)
+        for c in self.CS:
+            for base in self.BASES:
+                for prec in sorted(rng.randint(65, 4000) for _ in range(6)):
+                    scale = base ** prec
+                    assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale), (
+                        c, base, prec)
+
+    def test_random_scales(self):
+        rng = random.Random(35)
+        for c in self.CS:
+            for _ in range(60):
+                scale = rng.randrange(1, 1 << rng.randint(1, 40_000))
+                assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale), (
+                    c, scale.bit_length())
+
+    def test_makes_no_division(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_arith, "divmod", lambda a, b: calls.append(b) or divmod(a, b))
+        for c, base, prec in ((2, 10, 100012), (10005, 11, 96036), (2, 256, 4000)):
+            scale = base ** prec
+            assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale)
+        assert calls == []
 
 
 class TestHighPrecisionOracle:

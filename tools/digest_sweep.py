@@ -33,10 +33,13 @@ included, is the same byte for byte. Sections:
                   or without trailing zeros), and `cost_estimate` with int,
                   Fraction and Decimal inputs
   large           pi, e, sqrt2 and log2 at 50000, 100012 and 131070 digits
-                  in bases 10 and 11, and the stream of the e class search
-                  (`search --constant e -n 4` with digit classes) read in
-                  4096-digit blocks to 131070 digits: sizes whose products
-                  go through the FFT product, many of them at its cap
+                  in bases 10 and 11, sqrt2 at 100012 digits in bases 2 and
+                  256, the stream of the e class search (`search --constant
+                  e -n 4` with digit classes) read in 4096-digit blocks to
+                  131070 digits, and that of `search --constant pi -n 3
+                  --limit 100000` read to 100012 digits: sizes whose
+                  products go through the FFT product, many of them at its
+                  cap, and refills that take pi's square root at each size
 
 Stdlib and sagan only; the inputs are fixed by seeds, so the output depends
 only on the tree. The run time goes to stderr (about 7 s on a 2-vCPU x86
@@ -355,17 +358,27 @@ def sweep_api():
             yield "cost_estimate", digits, ns, outcome(lambda: cost_estimate(digits, ns))
 
 
+def search_stream(name: str, spec: ConstantSpec, limit: int, last: int):
+    """The digits of `spec` in base 10 as `sagan search --limit limit` reads
+    them, in blocks, up to digit `last`."""
+    stream = open_stream(spec, 10)
+    stream.reserve(limit + CONTEXT_WIDTH)
+    while stream.cursor <= last:
+        count = min(stream.block_size, last + 1 - stream.cursor)
+        yield name, stream.cursor, count, outcome(lambda: stream.take(count))
+
+
 def sweep_large():
     for spec in (ConstantSpec.pi(), ConstantSpec.e(), ConstantSpec.sqrt2(), ConstantSpec.log2()):
         for base in (10, 11):
             for count in (50_000, 100_012, 131_070):
                 yield spec.identifier(), base, count, outcome(
                     lambda: digits_in_base(spec, base, count))
-    stream = open_stream(ConstantSpec.e(), 10)  # as `sagan search` opens it, limit 200000
-    stream.reserve(200_000 + CONTEXT_WIDTH)
-    while stream.cursor <= 131_070:
-        count = min(stream.block_size, 131_071 - stream.cursor)
-        yield "e search stream", stream.cursor, count, outcome(lambda: stream.take(count))
+    for base in (2, 256):
+        yield "sqrt2", base, 100_012, outcome(
+            lambda: digits_in_base(ConstantSpec.sqrt2(), base, 100_012))
+    yield from search_stream("e search stream", ConstantSpec.e(), 200_000, 131_070)
+    yield from search_stream("pi search stream", ConstantSpec.pi(), 100_000, 100_012)
 
 
 SECTIONS = (("digits_in_base", sweep_digits_in_base), ("streams", sweep_streams),
