@@ -371,8 +371,8 @@ class TestUsageErrors:
          "error: context width must be in 0..10000"),
     ])
     def test_bad_argument_exits_two(self, capsys, argv, message):
-        # every usage error, the CLI's own checks included, reaches stderr as
-        # `error: <message>` through main
+        # library errors and the CLI's own range checks alike reach stderr
+        # as `error: <message>` through main
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and message in err

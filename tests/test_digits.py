@@ -30,8 +30,8 @@ from sagan.digits import (
 from sagan import _arith, bbp
 from sagan import digits as digits_module
 from sagan.digits import (DEFAULT_GUARD, _SOURCES, _certify, _computed, _concat_scaled,
-                          _isqrt_scaled, _linear_sum, _prefix_powers, _quotient, _series,
-                          _split)
+                          _isqrt_scaled, _linear_sum, _prefix_powers, _quotient, _rsqrt,
+                          _series, _split)
 from sagan.errors import (
     InsufficientInputDigits,
     InvalidDigit,
@@ -1109,21 +1109,13 @@ class TestSeededRoot:
                 scale = base ** prec
                 assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale), (c, base, prec)
 
-    def test_every_small_precision(self):
+    def test_every_small_and_random_precisions(self):
         # k <= 50 takes the float seed alone, and the first Newton steps
         # start from it; (2, 2, 29) and (10005, 10, 3) step r down
-        for c in self.CS:
-            for base in self.BASES:
-                for prec in range(1, 65):
-                    scale = base ** prec
-                    assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale), (
-                        c, base, prec)
-
-    def test_random_precisions(self):
         rng = random.Random(34)
         for c in self.CS:
             for base in self.BASES:
-                for prec in sorted(rng.randint(65, 4000) for _ in range(6)):
+                for prec in [*range(1, 65), *(rng.randint(65, 4000) for _ in range(6))]:
                     scale = base ** prec
                     assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale), (
                         c, base, prec)
@@ -1135,6 +1127,16 @@ class TestSeededRoot:
                 scale = rng.randrange(1, 1 << rng.randint(1, 40_000))
                 assert _isqrt_scaled(c, scale) == math.isqrt(c * scale * scale), (
                     c, scale.bit_length())
+
+    def test_reciprocal_root_within_two_units(self):
+        # v - 2 < Y <= v after a Newton step, |Y - v| < 2 from the float seed,
+        # for v = 2**k / sqrt(c), compared as c Y**2 against 4**k
+        rng = random.Random(36)
+        for c in self.CS + (1, 2 ** 40 - 1):
+            for k in list(range(1, 200)) + [rng.randint(200, 200_000) for _ in range(8)]:
+                y, four_k = _rsqrt(c, k), 1 << 2 * k
+                assert c * (y + 2) ** 2 > four_k and (y < 2 or c * (y - 2) ** 2 < four_k), (c, k)
+                assert k <= 50 or c * y * y <= four_k, (c, k)
 
     def test_makes_no_division(self, monkeypatch):
         calls = []

@@ -18,7 +18,7 @@ import tokenize
 from pathlib import Path
 
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
-           tokenize.ENDMARKER, tokenize.ENCODING}
+           tokenize.ENDMARKER}
 
 
 def docstring_lines(tree: ast.Module) -> set:
